@@ -15,12 +15,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
 
-// TestConfigGoldens pins the serialized form of the four paper machine
-// models: the golden JSON must both match what the presets marshal to
+// TestConfigGoldens pins the serialized form of the five machine
+// presets: the golden JSON must both match what the presets marshal to
 // and parse back into the identical configuration. Run with -update to
 // regenerate after an intentional schema change.
 func TestConfigGoldens(t *testing.T) {
-	for _, model := range []ftsim.Model{ftsim.ModelSS1, ftsim.ModelSS2, ftsim.ModelSS3, ftsim.ModelStatic2} {
+	for _, model := range []ftsim.Model{ftsim.ModelSS1, ftsim.ModelSS2, ftsim.ModelSS3, ftsim.ModelSS3Rewind, ftsim.ModelStatic2} {
 		t.Run(string(model), func(t *testing.T) {
 			cfg := model.Config()
 			data, err := cfg.JSON()

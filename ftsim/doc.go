@@ -46,8 +46,8 @@
 // ErrFaultEscape (post-run audit via CheckEscapes). Cancellation
 // surfaces as the context's own error.
 //
-// The facade delegates to the internal implementation packages without
-// translation; its results are byte-identical to the legacy internal
-// path, which the package's equivalence tests prove across the Table 2
-// workloads.
+// The facade assembles the simulator's configuration in one step and
+// returns its statistics without translation; the package's
+// equivalence tests pin its results across the Table 2 workloads to
+// golden output recorded from the earlier internal run path.
 package ftsim

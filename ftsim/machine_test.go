@@ -1,11 +1,11 @@
-package core
+package ftsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/funcsim"
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -53,13 +53,55 @@ func reference(t *testing.T, p *prog.Program) []uint64 {
 	return m.Output
 }
 
+// build loads a simulator machine for program p under c, through
+// cpuConfig: the one assembly step Machine.Load, RunPooled and Restore
+// use.
+func (c Config) build(p *prog.Program) (*cpu.Machine, error) {
+	return c.rebuild(nil, p)
+}
+
+// rebuild resets m in place for a new run of p under c, reusing its
+// allocated state and fault injector the way RunPooled does; a nil m
+// builds fresh.
+func (c Config) rebuild(m *cpu.Machine, p *prog.Program) (*cpu.Machine, error) {
+	if m == nil {
+		m = &cpu.Machine{}
+	}
+	if err := m.Reset(c.cpuConfig(m.Injector()), p); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// restore re-initialises m (nil allocates a fresh machine) from a
+// snapshot taken under an equivalent configuration.
+func (c Config) restore(m *cpu.Machine, data []byte) (*cpu.Machine, error) {
+	if m == nil {
+		m = &cpu.Machine{}
+	}
+	if err := m.Restore(c.cpuConfig(m.Injector()), data); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// run builds and runs the machine to completion (program halt or run
+// limits).
+func (c Config) run(p *prog.Program) (*cpu.Stats, error) {
+	m, err := c.build(p)
+	if err != nil {
+		return nil, err
+	}
+	return m.RunContext(context.Background())
+}
+
 func runCfg(t *testing.T, p *prog.Program, c Config) *cpu.Stats {
 	t.Helper()
 	c.Oracle = true
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 20_000_000
 	}
-	st, err := Run(p, c)
+	st, err := c.run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +115,11 @@ func TestFaultFreeModesAgree(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"SS-1", SS1()},
-		{"SS-2", SS2()},
-		{"SS-3", SS3()},
-		{"SS-3-rewind", SS3Rewind()},
-		{"Static-2", Static2()},
+		{"SS-1", ModelSS1.Config()},
+		{"SS-2", ModelSS2.Config()},
+		{"SS-3", ModelSS3.Config()},
+		{"SS-3-rewind", ModelSS3Rewind.Config()},
+		{"Static-2", ModelStatic2.Config()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := runCfg(t, p, tc.cfg)
@@ -99,9 +141,9 @@ func TestFaultFreeModesAgree(t *testing.T) {
 
 func TestRedundancyCostsThroughput(t *testing.T) {
 	p := mixedProgram(600)
-	ss1 := runCfg(t, p, SS1())
-	ss2 := runCfg(t, p, SS2())
-	ss3 := runCfg(t, p, SS3())
+	ss1 := runCfg(t, p, ModelSS1.Config())
+	ss2 := runCfg(t, p, ModelSS2.Config())
+	ss3 := runCfg(t, p, ModelSS3.Config())
 	if ss2.IPC() >= ss1.IPC() {
 		t.Errorf("SS-2 IPC %.3f >= SS-1 IPC %.3f", ss2.IPC(), ss1.IPC())
 	}
@@ -122,8 +164,8 @@ func TestFaultInjectionSS2(t *testing.T) {
 	p := mixedProgram(400)
 	want := reference(t, p)
 	for _, rate := range []float64{1e-4, 1e-3, 5e-3} {
-		cfg := SS2()
-		cfg.Fault = fault.Config{Rate: rate, Seed: 42, Targets: fault.AllTargets}
+		cfg := ModelSS2.Config()
+		cfg.Fault = FaultConfig{Rate: rate, Seed: 42, Targets: AllFaultTargets()}
 		st := runCfg(t, p, cfg)
 		if !st.Halted {
 			t.Fatalf("rate %g: did not halt: %s", rate, st.Summary())
@@ -148,8 +190,8 @@ func TestFaultInjectionSS2(t *testing.T) {
 func TestFaultInjectionSS3Majority(t *testing.T) {
 	p := mixedProgram(400)
 	want := reference(t, p)
-	cfg := SS3()
-	cfg.Fault = fault.Config{Rate: 2e-3, Seed: 7, Targets: fault.AllTargets}
+	cfg := ModelSS3.Config()
+	cfg.Fault = FaultConfig{Rate: 2e-3, Seed: 7, Targets: AllFaultTargets()}
 	st := runCfg(t, p, cfg)
 	if st.EscapedFaults != 0 {
 		t.Fatalf("escapes under majority election: %s", st.Summary())
@@ -167,8 +209,8 @@ func TestFaultInjectionSS3Majority(t *testing.T) {
 	}
 
 	// The rewind-only R=3 design recovers everything too, but by rewinding.
-	cfgR := SS3Rewind()
-	cfgR.Fault = fault.Config{Rate: 2e-3, Seed: 7, Targets: fault.AllTargets}
+	cfgR := ModelSS3Rewind.Config()
+	cfgR.Fault = FaultConfig{Rate: 2e-3, Seed: 7, Targets: AllFaultTargets()}
 	stR := runCfg(t, p, cfgR)
 	if stR.EscapedFaults != 0 || stR.Output[0] != want[0] {
 		t.Fatalf("SS-3-rewind corrupted state: %s", stR.Summary())
@@ -182,8 +224,8 @@ func TestFaultInjectionSS3Majority(t *testing.T) {
 // faults corrupt architectural state (observed via the oracle).
 func TestUnprotectedBaselineEscapes(t *testing.T) {
 	p := mixedProgram(400)
-	cfg := SS1()
-	cfg.Fault = fault.Config{Rate: 5e-3, Seed: 11}
+	cfg := ModelSS1.Config()
+	cfg.Fault = FaultConfig{Rate: 5e-3, Seed: 11}
 	// A corrupted branch can strand execution on a nop sled, so bound the
 	// run; the escape is observed long before the limit.
 	cfg.MaxCycles = 300_000
@@ -198,10 +240,11 @@ func TestUnprotectedBaselineEscapes(t *testing.T) {
 func TestPerTargetDetection(t *testing.T) {
 	p := mixedProgram(300)
 	want := reference(t, p)
-	for _, tgt := range fault.AllTargets {
-		t.Run(tgt.String(), func(t *testing.T) {
-			cfg := SS2()
-			cfg.Fault = fault.Config{Rate: 2e-3, Seed: 5, Targets: []fault.Target{tgt}}
+	for _, tgt := range AllFaultTargets() {
+		ft, _ := tgt.target()
+		t.Run(ft.String(), func(t *testing.T) {
+			cfg := ModelSS2.Config()
+			cfg.Fault = FaultConfig{Rate: 2e-3, Seed: 5, Targets: []FaultTarget{tgt}}
 			st := runCfg(t, p, cfg)
 			if st.EscapedFaults != 0 {
 				t.Fatalf("target %v escaped: %s", tgt, st.Summary())
@@ -209,7 +252,7 @@ func TestPerTargetDetection(t *testing.T) {
 			if st.Output[0] != want[0] {
 				t.Fatalf("target %v corrupted output", tgt)
 			}
-			if st.Fault.Injected > 3 && st.FaultsDetected == 0 && tgt != fault.TargetBranch {
+			if st.Fault.Injected > 3 && st.FaultsDetected == 0 && tgt != FaultBranch {
 				t.Errorf("target %v: injected %d, detected none", tgt, st.Fault.Injected)
 			}
 		})
@@ -220,8 +263,8 @@ func TestPerTargetDetection(t *testing.T) {
 // on the order of tens of cycles (about 30 for fpppp).
 func TestRecoveryPenaltyMagnitude(t *testing.T) {
 	p := mixedProgram(2000)
-	cfg := SS2()
-	cfg.Fault = fault.Config{Rate: 1e-3, Seed: 3, Targets: fault.AllTargets}
+	cfg := ModelSS2.Config()
+	cfg.Fault = FaultConfig{Rate: 1e-3, Seed: 3, Targets: AllFaultTargets()}
 	st := runCfg(t, p, cfg)
 	if st.FaultRewinds < 5 {
 		t.Skipf("only %d rewinds observed", st.FaultRewinds)
@@ -235,7 +278,7 @@ func TestRecoveryPenaltyMagnitude(t *testing.T) {
 func TestCoScheduleStillCorrect(t *testing.T) {
 	p := mixedProgram(300)
 	want := reference(t, p)
-	cfg := SS2()
+	cfg := ModelSS2.Config()
 	cfg.CoSchedule = true
 	st := runCfg(t, p, cfg)
 	if st.Output[0] != want[0] || st.EscapedFaults != 0 {
@@ -248,8 +291,9 @@ func TestMajorityThresholdFour(t *testing.T) {
 	// mismatch; with threshold 3 it can elect.
 	p := mixedProgram(200)
 	want := reference(t, p)
-	cfg := Config{CPU: SS1().CPU, R: 4, Majority: true, MajorityThreshold: 3}
-	cfg.Fault = fault.Config{Rate: 1e-3, Seed: 9, Targets: fault.AllTargets}
+	cfg := ModelSS1.Config()
+	cfg.R, cfg.Majority, cfg.MajorityThreshold = 4, true, 3
+	cfg.Fault = FaultConfig{Rate: 1e-3, Seed: 9, Targets: AllFaultTargets()}
 	st := runCfg(t, p, cfg)
 	if st.EscapedFaults != 0 || st.Output[0] != want[0] {
 		t.Fatalf("R=4 corrupted: %s", st.Summary())
@@ -258,17 +302,19 @@ func TestMajorityThresholdFour(t *testing.T) {
 
 func TestPresetNames(t *testing.T) {
 	cases := map[string]Config{
-		"SS-1": SS1(), "SS-2": SS2(), "SS-3": SS3(), "Static-2": Static2(),
+		"SS-1": ModelSS1.Config(), "SS-2": ModelSS2.Config(), "SS-3": ModelSS3.Config(),
+		"SS-3-rewind": ModelSS3Rewind.Config(), "Static-2": ModelStatic2.Config(),
 	}
 	for want, cfg := range cases {
-		if cfg.CPU.Name != want {
-			t.Errorf("preset name %q, want %q", cfg.CPU.Name, want)
+		if cfg.Name != want {
+			t.Errorf("preset name %q, want %q", cfg.Name, want)
 		}
 	}
-	if SS2().R != 2 || SS3().R != 3 || !SS3().Majority {
+	if ModelSS2.Config().R != 2 || ModelSS3.Config().R != 3 || !ModelSS3.Config().Majority ||
+		ModelSS3Rewind.Config().Majority {
 		t.Error("preset redundancy misconfigured")
 	}
-	if Static2().CPU.RUUSize != 64 || Static2().CPU.FPMult != 1 {
+	if static2 := ModelStatic2.Config().Pipeline; static2.RUUSize != 64 || static2.FPMult != 1 {
 		t.Error("Static-2 resources misconfigured")
 	}
 }
@@ -295,13 +341,13 @@ func TestPersistentFaultMasking(t *testing.T) {
 	p := b.MustBuild()
 
 	run := func(transform bool) *cpu.Stats {
-		cfg := SS2()
-		cfg.CPU.IntALU = 1 // force both copies through the damaged unit
-		cfg.Persistent = &fault.Persistent{Pool: isa.PoolIntALU, Unit: 0, Bit: 17}
+		cfg := ModelSS2.Config()
+		cfg.Pipeline.IntALU = 1 // force both copies through the damaged unit
+		cfg.Persistent = &PersistentFault{Pool: "int-alu", Unit: 0, Bit: 17}
 		cfg.TransformOperands = transform
 		cfg.Oracle = true
 		cfg.MaxCycles = 400_000
-		st, err := Run(p, cfg)
+		st, err := cfg.run(p)
 		// A permanent fault under detect-and-rewind livelocks at the
 		// first affected instruction: rewinding re-executes into the
 		// same damage. The simulator reports that as a deadlock, which
@@ -340,7 +386,7 @@ func TestPersistentTransformCleanRun(t *testing.T) {
 	p := mixedProgram(100)
 	want := reference(t, p)
 	// No persistent fault: the transform must be semantically invisible.
-	cfg := SS2()
+	cfg := ModelSS2.Config()
 	cfg.TransformOperands = true
 	st := runCfg(t, p, cfg)
 	if st.EscapedFaults != 0 || st.FaultsDetected != 0 {

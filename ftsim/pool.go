@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
-	"repro/internal/trace"
 )
 
 // MachinePool recycles the internal simulator machines that back runs,
@@ -27,11 +26,13 @@ type MachinePool struct {
 	pool sync.Pool // holds *cpu.Machine
 }
 
+// get checks out a recycled machine, or a zero one when the pool is
+// empty (Reset on a zero machine is exactly a fresh build).
 func (p *MachinePool) get() *cpu.Machine {
 	if v := p.pool.Get(); v != nil {
 		return v.(*cpu.Machine)
 	}
-	return nil
+	return &cpu.Machine{}
 }
 
 func (p *MachinePool) put(m *cpu.Machine) {
@@ -47,35 +48,15 @@ func (p *MachinePool) put(m *cpu.Machine) {
 // reset fully sanitises in-flight state. The returned Stats is a
 // snapshot owned by the caller, never aliased to pooled machine state.
 func (m *Machine) RunPooled(ctx context.Context, pool *MachinePool, p *Program) (*Stats, error) {
-	coreCfg, err := m.cfg.coreConfig()
-	if err != nil {
-		return nil, err
-	}
-	coreCfg.StrictOracle = m.strict
-	s := &Session{name: m.cfg.Name, obs: m.obs}
-	if m.obs != nil {
-		every := m.every
-		if every == 0 {
-			every = DefaultObserveEvery
-		}
-		coreCfg.CPU.Observe = s.tap
-		coreCfg.CPU.ObserveEvery = every
-	}
-	if m.traceCap > 0 {
-		s.trace = trace.NewBuffer(m.traceCap)
-		coreCfg.CPU.Tracer = s.trace
-	}
-	recycled := pool.get()
-	cm, err := coreCfg.Rebuild(recycled, p.p)
-	if err != nil {
-		// Rebuild validates before mutating, so the recycled machine is
-		// still intact; keep it pooled.
-		pool.put(recycled)
+	s, cfg := m.session(pool.get())
+	if err := s.cm.Reset(cfg, p.p); err != nil {
+		// Reset validates before mutating, so the machine is still
+		// intact; keep it pooled.
+		pool.put(s.cm)
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	s.cm = cm
 	st, err := s.Run(ctx)
 	out := *st
-	pool.put(cm)
+	pool.put(s.cm)
 	return &out, err
 }

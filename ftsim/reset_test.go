@@ -1,4 +1,4 @@
-package core
+package ftsim
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/testenv"
 	"repro/internal/workload"
 )
@@ -22,36 +21,37 @@ func resetCases() []struct {
 	cfg  Config
 } {
 	withFault := func(c Config, rate float64, seed int64) Config {
-		c.Fault = fault.Config{Rate: rate, Seed: seed, Targets: fault.AllTargets}
+		c.Fault = FaultConfig{Rate: rate, Seed: seed, Targets: AllFaultTargets()}
 		return c
 	}
-	bigWindow := SS2()
-	bigWindow.CPU.RUUSize = 256
-	bigWindow.CPU.LSQSize = 128
-	oracle := SS2()
+	bigWindow := ModelSS2.Config()
+	bigWindow.Pipeline.RUUSize = 256
+	bigWindow.Pipeline.LSQSize = 128
+	oracle := ModelSS2.Config()
 	oracle.Oracle = true
-	penalty := SS3Rewind()
+	penalty := ModelSS3Rewind.Config()
 	penalty.RecoveryPenalty = 500
 	return []struct {
 		name string
 		cfg  Config
 	}{
-		{"SS1", SS1()},
-		{"SS2", SS2()},
-		{"SS2/fault", withFault(SS2(), 1e-4, 7)},
-		{"SS3/fault", withFault(SS3(), 1e-4, 11)},
+		{"SS1", ModelSS1.Config()},
+		{"SS2", ModelSS2.Config()},
+		{"SS2/fault", withFault(ModelSS2.Config(), 1e-4, 7)},
+		{"SS3/fault", withFault(ModelSS3.Config(), 1e-4, 11)},
 		{"SS3rewind/penalty/fault", withFault(penalty, 1e-4, 13)},
-		{"Static2", Static2()},
+		{"Static2", ModelStatic2.Config()},
 		{"SS2/RUU256", bigWindow},
 		{"SS2/oracle/fault", withFault(oracle, 1e-4, 17)},
 	}
 }
 
 // TestRebuildMatchesFresh is the tentpole referee: a machine recycled
-// through Config.Rebuild must produce Stats deeply equal to a fresh
-// Config.Build, no matter what the machine ran before — a different
-// model, a different program, a different window geometry, or a run
-// that was cancelled mid-flight and abandoned with in-flight state.
+// in place (Machine.Reset with cpuConfig, as RunPooled does) must
+// produce Stats deeply equal to a fresh build, no matter what the
+// machine ran before — a different model, a different program, a
+// different window geometry, or a run that was cancelled mid-flight
+// and abandoned with in-flight state.
 func TestRebuildMatchesFresh(t *testing.T) {
 	gcc, _ := workload.ByName("gcc")
 	swim, _ := workload.ByName("swim")
@@ -78,7 +78,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	dirty = append(dirty,
 		func(t *testing.T) *cpu.Machine {
 			// Completed run of a different model on a different program.
-			m, err := limit(SS3()).Build(progB)
+			m, err := limit(ModelSS3.Config()).build(progB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 		func(t *testing.T) *cpu.Machine {
 			// Cancelled mid-run: RUU/LSQ, waitlists, calendar and fetch
 			// queue are all abandoned with live entries.
-			m, err := limit(SS2()).Build(progA)
+			m, err := limit(ModelSS2.Config()).build(progA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +103,11 @@ func TestRebuildMatchesFresh(t *testing.T) {
 		},
 		func(t *testing.T) *cpu.Machine {
 			// Different window geometry + fault injector state.
-			c := limit(SS2())
-			c.CPU.RUUSize = 256
-			c.CPU.LSQSize = 128
-			c.Fault = fault.Config{Rate: 1e-3, Seed: 99, Targets: fault.AllTargets}
-			m, err := c.Build(progB)
+			c := limit(ModelSS2.Config())
+			c.Pipeline.RUUSize = 256
+			c.Pipeline.LSQSize = 128
+			c.Fault = FaultConfig{Rate: 1e-3, Seed: 99, Targets: AllFaultTargets()}
+			m, err := c.build(progB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	for _, tc := range cases {
 		cfg := limit(tc.cfg)
 		t.Run(tc.name, func(t *testing.T) {
-			freshM, err := cfg.Build(progA)
+			freshM, err := cfg.build(progA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			}
 			for i, mk := range dirty {
 				t.Run(fmt.Sprintf("dirty%d", i), func(t *testing.T) {
-					m, err := cfg.Rebuild(mk(t), progA)
+					m, err := cfg.rebuild(mk(t), progA)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -162,11 +162,11 @@ func TestRebuildTwiceMatchesFresh(t *testing.T) {
 		cfg := tc.cfg
 		cfg.MaxInsts = insts
 		cfg.MaxCycles = insts * 100
-		want, err := Run(program, cfg)
+		want, err := cfg.run(program)
 		if err != nil {
 			t.Fatalf("%s: fresh: %v", tc.name, err)
 		}
-		m, err = cfg.Rebuild(m, program)
+		m, err = cfg.rebuild(m, program)
 		if err != nil {
 			t.Fatalf("%s: rebuild: %v", tc.name, err)
 		}
@@ -180,7 +180,7 @@ func TestRebuildTwiceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRebuildInvalidConfigLeavesMachineUsable: Rebuild with a broken
+// TestRebuildInvalidConfigLeavesMachineUsable: a rebuild with a broken
 // configuration must fail without corrupting the machine, which stays
 // recyclable (this is what lets the pool keep a machine after a
 // rejected checkout).
@@ -190,24 +190,24 @@ func TestRebuildInvalidConfigLeavesMachineUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SS2()
+	cfg := ModelSS2.Config()
 	cfg.MaxInsts = 4_000
 	cfg.MaxCycles = 400_000
-	want, err := Run(program, cfg)
+	want, err := cfg.run(program)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m, err := cfg.Build(program)
+	m, err := cfg.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	broken := cfg
-	broken.CPU.RUUSize = 0
-	if _, err := broken.Rebuild(m, program); err == nil {
-		t.Fatal("Rebuild accepted an invalid config")
+	broken.Pipeline.RUUSize = 0
+	if _, err := broken.rebuild(m, program); err == nil {
+		t.Fatal("rebuild accepted an invalid config")
 	}
-	m2, err := cfg.Rebuild(m, program)
+	m2, err := cfg.rebuild(m, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestRebuildInvalidConfigLeavesMachineUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("machine unusable after rejected Rebuild")
+		t.Error("machine unusable after rejected rebuild")
 	}
 }
 
@@ -243,15 +243,15 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		cfg     func() Config
 		ceiling float64
 	}{
-		{"SS1", SS1, 100},
+		{"SS1", ModelSS1.Config, 100},
 		{"SS2/fault", func() Config {
-			c := SS2()
-			c.Fault = fault.Config{Rate: 1e-4, Seed: 3, Targets: fault.AllTargets}
+			c := ModelSS2.Config()
+			c.Fault = FaultConfig{Rate: 1e-4, Seed: 3, Targets: AllFaultTargets()}
 			return c
 		}, 100},
 		{"SS3/fault", func() Config {
-			c := SS3() // majority election: exercises the checker scratch
-			c.Fault = fault.Config{Rate: 1e-4, Seed: 5, Targets: fault.AllTargets}
+			c := ModelSS3.Config() // majority election: exercises the checker scratch
+			c.Fault = FaultConfig{Rate: 1e-4, Seed: 5, Targets: AllFaultTargets()}
 			return c
 		}, 100},
 	} {
@@ -259,13 +259,13 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			cfg := tc.cfg()
 			cfg.MaxInsts = insts
 			cfg.MaxCycles = insts * 100
-			m, err := cfg.Build(program)
+			m, err := cfg.build(program)
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := func() {
 				var err error
-				m, err = cfg.Rebuild(m, program)
+				m, err = cfg.rebuild(m, program)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package ftsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -14,9 +15,8 @@ import (
 // instruction counts, stall accounting, branch/cache behaviour, and the
 // paper's fault-tolerance counters (faults detected, rewinds, majority
 // elections, escaped faults). It is the same structure the internal
-// simulator gathers, re-exported: the facade adds no translation layer,
-// which is what makes its results provably byte-identical to the
-// legacy internal path.
+// simulator gathers, re-exported: the facade adds no translation layer
+// on results.
 type Stats = cpu.Stats
 
 // ErrSessionUsed reports a second Run on a session; sessions are
@@ -85,33 +85,34 @@ func (c Config) clone() Config {
 // the config, and the session is ready to Run. Sessions are
 // independent; any number may run concurrently.
 func (m *Machine) Load(p *Program) (*Session, error) {
-	coreCfg, err := m.cfg.coreConfig()
-	if err != nil {
-		return nil, err
+	s, cfg := m.session(&cpu.Machine{})
+	if err := s.cm.Reset(cfg, p.p); err != nil {
+		// The facade validates ahead of time, so reaching here means a
+		// constraint only the simulator checks; fold it into the same
+		// taxonomy.
+		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	coreCfg.StrictOracle = m.strict
-	s := &Session{name: m.cfg.Name, obs: m.obs}
+	return s, nil
+}
+
+// session prepares a session on cm, a zero machine or a recycled one,
+// and returns the simulator configuration the caller loads cm with:
+// the machine's description assembled around cm's fault injector, plus
+// the observer, trace buffer and strict-oracle hooks this session
+// reports through.
+func (m *Machine) session(cm *cpu.Machine) (*Session, cpu.Config) {
+	cfg := m.cfg.cpuConfig(cm.Injector())
+	cfg.StrictOracle = m.strict
+	s := &Session{cm: cm, name: m.cfg.Name, obs: m.obs}
 	if m.obs != nil {
-		every := m.every
-		if every == 0 {
-			every = DefaultObserveEvery
-		}
-		coreCfg.CPU.Observe = s.tap
-		coreCfg.CPU.ObserveEvery = every
+		cfg.Observe = s.tap
+		cfg.ObserveEvery = cmp.Or(m.every, DefaultObserveEvery)
 	}
 	if m.traceCap > 0 {
 		s.trace = trace.NewBuffer(m.traceCap)
-		coreCfg.CPU.Tracer = s.trace
+		cfg.Tracer = s.trace
 	}
-	cm, err := coreCfg.Build(p.p)
-	if err != nil {
-		// The facade validates ahead of time, so reaching here means a
-		// constraint only the implementation layer checks; fold it into
-		// the same taxonomy.
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	s.cm = cm
-	return s, nil
+	return s, cfg
 }
 
 // Run is the one-shot convenience: Load the program and Run the session

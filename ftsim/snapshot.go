@@ -3,7 +3,6 @@ package ftsim
 import (
 	"repro/internal/cpu"
 	"repro/internal/snap"
-	"repro/internal/trace"
 )
 
 // Snapshot and restore make long simulations durable: a session's
@@ -47,33 +46,14 @@ func (s *Session) Snapshot() []byte { return s.cm.Snapshot() }
 // the remainder of the workload, streaming observer samples relative
 // to the snapshot point.
 func (m *Machine) Restore(data []byte) (*Session, error) {
-	coreCfg, err := m.cfg.coreConfig()
-	if err != nil {
+	s, cfg := m.session(&cpu.Machine{})
+	if err := s.cm.Restore(cfg, data); err != nil {
 		return nil, err
 	}
-	coreCfg.StrictOracle = m.strict
-	s := &Session{name: m.cfg.Name, obs: m.obs}
-	if m.obs != nil {
-		every := m.every
-		if every == 0 {
-			every = DefaultObserveEvery
-		}
-		coreCfg.CPU.Observe = s.tap
-		coreCfg.CPU.ObserveEvery = every
-	}
-	if m.traceCap > 0 {
-		s.trace = trace.NewBuffer(m.traceCap)
-		coreCfg.CPU.Tracer = s.trace
-	}
-	cm, err := coreCfg.Restore(nil, data)
-	if err != nil {
-		return nil, err
-	}
-	s.cm = cm
 	// Seed the observer's interval baseline from the restored counters
 	// so the first sample reports progress since the snapshot, not a
 	// bogus jump from zero.
-	st := cm.Stats()
+	st := s.cm.Stats()
 	s.prevCycles, s.prevCommitted = st.Cycles, st.Committed
 	s.prevDetected, s.prevRewinds = st.FaultsDetected, st.FaultRewinds
 	return s, nil

@@ -1,13 +1,10 @@
-package core
+package ftsim
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/bpred"
-	"repro/internal/cache"
-	"repro/internal/fault"
 )
 
 const fuzzSrc = `
@@ -34,15 +31,15 @@ func snapshotFuzzMachine(tb testing.TB) (Config, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := SS2()
-	cfg.CPU.Hierarchy = cache.HierarchyConfig{
-		IL1:        cache.Config{Name: "il1", SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
-		DL1:        cache.Config{Name: "dl1", SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
-		L2:         cache.Config{Name: "ul2", SizeBytes: 4096, Ways: 1, LineBytes: 64, HitLatency: 6},
-		MemLatency: 40,
+	cfg := ModelSS2.Config()
+	cfg.Memory = MemoryConfig{
+		IL1:     CacheConfig{SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
+		DL1:     CacheConfig{SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
+		L2:      CacheConfig{SizeBytes: 4096, Ways: 1, LineBytes: 64, HitLatency: 6},
+		Latency: 40,
 	}
-	cfg.CPU.Bpred = bpred.Config{
-		Kind:        bpred.KindCombined,
+	cfg.BranchPred = BranchPredConfig{
+		Kind:        "comb",
 		BimodalSize: 64,
 		L1Size:      2,
 		HistBits:    6,
@@ -53,10 +50,10 @@ func snapshotFuzzMachine(tb testing.TB) (Config, []byte) {
 		BTBWays:     2,
 		RASSize:     8,
 	}
-	cfg.Fault = fault.Config{Rate: 5e-4, Seed: 11, Targets: fault.AllTargets}
+	cfg.Fault = FaultConfig{Rate: 5e-4, Seed: 11, Targets: AllFaultTargets()}
 	cfg.MaxInsts = 1_000
 	cfg.MaxCycles = 100_000
-	m, err := cfg.Build(program)
+	m, err := cfg.build(program)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -76,8 +73,7 @@ func snapshotFuzzMachine(tb testing.TB) (Config, []byte) {
 // degenerate shapes.
 //
 // The committed seed corpus lives in testdata/fuzz/FuzzSnapshotDecode/;
-// `go test -fuzz=FuzzSnapshotDecode ./internal/core` explores from
-// there.
+// `go test -fuzz=FuzzSnapshotDecode ./ftsim` explores from there.
 func FuzzSnapshotDecode(f *testing.F) {
 	cfg, blob := snapshotFuzzMachine(f)
 	f.Add(blob)
@@ -87,7 +83,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("FTSN"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rm, err := cfg.Restore(nil, data)
+		rm, err := cfg.restore(nil, data)
 		if err != nil {
 			return // rejected without panicking: fine
 		}

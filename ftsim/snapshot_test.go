@@ -1,4 +1,4 @@
-package core
+package ftsim
 
 import (
 	"context"
@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/prog"
 	"repro/internal/snap"
 	"repro/internal/workload"
 )
@@ -30,20 +30,23 @@ func interruptRun(t *testing.T, m *cpu.Machine) {
 // withInterrupt; see below.
 var interruptCtx context.Context
 
-// withInterrupt arms cfg to cancel its own run at the first
-// observation at or after the given cycle. The cancellation lands on
-// the run loop's next poll, so the interrupted machine state is a
-// deterministic function of (config, program, cycle).
-func withInterrupt(cfg Config, atCycle uint64) Config {
+// buildInterrupted builds a machine for cfg armed to cancel its own
+// run at the first observation at or after the given cycle. The
+// cancellation lands on the run loop's next poll, so the interrupted
+// machine state is a deterministic function of (config, program,
+// cycle). The hook rides on the assembled cpu.Config the way a
+// session's observer does, so it never enters the fingerprint.
+func buildInterrupted(cfg Config, atCycle uint64, p *prog.Program) (*cpu.Machine, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	interruptCtx = ctx
-	cfg.CPU.ObserveEvery = 256
-	cfg.CPU.Observe = func(s *cpu.Stats) {
+	cc := cfg.cpuConfig(nil)
+	cc.ObserveEvery = 256
+	cc.Observe = func(s *cpu.Stats) {
 		if s.Cycles >= atCycle {
 			cancel()
 		}
 	}
-	return cfg
+	return cpu.New(cc, p)
 }
 
 // assertSameArchState compares the committed architectural state of
@@ -84,14 +87,14 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 			cfg.MaxInsts = insts
 			cfg.MaxCycles = insts * 100
 
-			donor, err := withInterrupt(cfg, 2_000).Build(program)
+			donor, err := buildInterrupted(cfg, 2_000, program)
 			if err != nil {
 				t.Fatal(err)
 			}
 			interruptRun(t, donor)
 			blob := donor.Snapshot()
 
-			restored, err := cfg.Restore(nil, blob)
+			restored, err := cfg.restore(nil, blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,9 +126,9 @@ func TestSnapshotTable2Sweep(t *testing.T) {
 		r   int
 		cfg func() Config
 	}{
-		{1, SS1},
-		{2, SS2},
-		{3, SS3},
+		{1, ModelSS1.Config},
+		{2, ModelSS2.Config},
+		{3, ModelSS3.Config},
 	}
 	benches := workload.Table2()
 	if testing.Short() {
@@ -142,15 +145,15 @@ func TestSnapshotTable2Sweep(t *testing.T) {
 				cfg.MaxInsts = 5_000
 				cfg.MaxCycles = 2_000_000
 				if m.r > 1 {
-					cfg.Fault = fault.Config{Rate: 5e-4, Seed: int64(31 + m.r), Targets: fault.AllTargets}
+					cfg.Fault = FaultConfig{Rate: 5e-4, Seed: int64(31 + m.r), Targets: AllFaultTargets()}
 				}
 
-				donor, err := withInterrupt(cfg, 1_000).Build(program)
+				donor, err := buildInterrupted(cfg, 1_000, program)
 				if err != nil {
 					t.Fatal(err)
 				}
 				interruptRun(t, donor)
-				restored, err := cfg.Restore(nil, donor.Snapshot())
+				restored, err := cfg.restore(nil, donor.Snapshot())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +175,7 @@ func TestSnapshotTable2Sweep(t *testing.T) {
 				// (it squashes in-flight work, like the paper's recovery
 				// does), so cycle counts legitimately differ from an
 				// uninterrupted run — but the committed results must not.
-				uncut, err := cfg.Build(program)
+				uncut, err := cfg.build(program)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,16 +206,16 @@ func TestSnapshotOfFreshMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SS2()
-	cfg.Fault = fault.Config{Rate: 1e-4, Seed: 7, Targets: fault.AllTargets}
+	cfg := ModelSS2.Config()
+	cfg.Fault = FaultConfig{Rate: 1e-4, Seed: 7, Targets: AllFaultTargets()}
 	cfg.MaxInsts = 4_000
 	cfg.MaxCycles = 400_000
 
-	donor, err := cfg.Build(program)
+	donor, err := cfg.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := cfg.Restore(nil, donor.Snapshot())
+	restored, err := cfg.restore(nil, donor.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestSnapshotOfFreshMachine(t *testing.T) {
 
 // TestRestoreIntoRecycledMachine: Restore must fully overwrite a
 // machine that previously ran something else entirely, exactly like
-// Rebuild does.
+// a rebuild does.
 func TestRestoreIntoRecycledMachine(t *testing.T) {
 	gcc, _ := workload.ByName("gcc")
 	swim, _ := workload.ByName("swim")
@@ -243,12 +246,12 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SS2()
-	cfg.Fault = fault.Config{Rate: 1e-4, Seed: 5, Targets: fault.AllTargets}
+	cfg := ModelSS2.Config()
+	cfg.Fault = FaultConfig{Rate: 1e-4, Seed: 5, Targets: AllFaultTargets()}
 	cfg.MaxInsts = 6_000
 	cfg.MaxCycles = 600_000
 
-	donor, err := withInterrupt(cfg, 1_500).Build(progA)
+	donor, err := buildInterrupted(cfg, 1_500, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +260,10 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 
 	// The recycled victim: a different model, different program, run to
 	// completion.
-	other := SS3()
+	other := ModelSS3.Config()
 	other.MaxInsts = 3_000
 	other.MaxCycles = 300_000
-	victim, err := other.Build(progB)
+	victim, err := other.build(progB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +271,7 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := cfg.Restore(victim, blob)
+	restored, err := cfg.restore(victim, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +298,10 @@ func TestRestoreUnderLargerBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := SS2()
+	small := ModelSS2.Config()
 	small.MaxInsts = 2_000
 	small.MaxCycles = 200_000
-	donor, err := small.Build(program)
+	donor, err := small.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +313,7 @@ func TestRestoreUnderLargerBudget(t *testing.T) {
 	big := small
 	big.MaxInsts = 4_000
 	big.MaxCycles = 400_000
-	resumed, err := big.Restore(nil, blob)
+	resumed, err := big.restore(nil, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,20 +327,20 @@ func TestRestoreUnderLargerBudget(t *testing.T) {
 
 	// Reference: one uninterrupted-except-snapshot run at the large
 	// budget whose snapshot fires at the same committed count.
-	ref, err := big.Build(program)
+	ref, err := big.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refHalf := big
 	refHalf.MaxInsts = 2_000
-	refM, err := refHalf.Build(program)
+	refM, err := refHalf.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := refM.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	refResumed, err := big.Restore(ref, refM.Snapshot())
+	refResumed, err := big.restore(ref, refM.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +362,10 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SS2()
+	cfg := ModelSS2.Config()
 	cfg.MaxInsts = 1_000
 	cfg.MaxCycles = 100_000
-	donor, err := cfg.Build(program)
+	donor, err := cfg.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,21 +378,21 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"different model", func() Config { c := SS3(); c.MaxInsts = 1_000; return c }()},
+		{"different model", func() Config { c := ModelSS3.Config(); c.MaxInsts = 1_000; return c }()},
 		{"different geometry", func() Config {
-			c := SS2()
-			c.CPU.RUUSize = 256
+			c := ModelSS2.Config()
+			c.Pipeline.RUUSize = 256
 			c.MaxInsts = 1_000
 			return c
 		}()},
 		{"different fault seed", func() Config {
-			c := SS2()
-			c.Fault = fault.Config{Rate: 1e-4, Seed: 3}
+			c := ModelSS2.Config()
+			c.Fault = FaultConfig{Rate: 1e-4, Seed: 3}
 			c.MaxInsts = 1_000
 			return c
 		}()},
 	} {
-		if _, err := alt.cfg.Restore(nil, blob); !errors.Is(err, cpu.ErrSnapshotMismatch) {
+		if _, err := alt.cfg.restore(nil, blob); !errors.Is(err, cpu.ErrSnapshotMismatch) {
 			t.Errorf("%s: Restore returned %v, want ErrSnapshotMismatch", alt.name, err)
 		}
 	}
@@ -397,7 +400,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	// Same fingerprint, different run limits: accepted.
 	bigger := cfg
 	bigger.MaxInsts = 2_000
-	if _, err := bigger.Restore(nil, blob); err != nil {
+	if _, err := bigger.restore(nil, blob); err != nil {
 		t.Errorf("run-limit change rejected: %v", err)
 	}
 }
@@ -411,11 +414,11 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SS2()
-	cfg.Fault = fault.Config{Rate: 1e-3, Seed: 2, Targets: fault.AllTargets}
+	cfg := ModelSS2.Config()
+	cfg.Fault = FaultConfig{Rate: 1e-3, Seed: 2, Targets: AllFaultTargets()}
 	cfg.MaxInsts = 1_000
 	cfg.MaxCycles = 100_000
-	donor, err := cfg.Build(program)
+	donor, err := cfg.build(program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,20 +428,20 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	blob := donor.Snapshot()
 
 	// Restoring the pristine blob works.
-	if _, err := cfg.Restore(nil, blob); err != nil {
+	if _, err := cfg.restore(nil, blob); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 	// Bit flips anywhere are caught by the checksum.
 	for _, pos := range []int{0, 7, len(blob) / 2, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[pos] ^= 0x40
-		if _, err := cfg.Restore(nil, bad); !errors.Is(err, snap.ErrCorrupt) {
+		if _, err := cfg.restore(nil, bad); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("bit flip at %d: Restore returned %v, want ErrCorrupt", pos, err)
 		}
 	}
 	// Truncations at a sample of lengths.
 	for n := 0; n < len(blob); n += 97 {
-		if _, err := cfg.Restore(nil, blob[:n]); err == nil {
+		if _, err := cfg.restore(nil, blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}

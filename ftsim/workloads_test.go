@@ -1,9 +1,8 @@
-package core
+package ftsim
 
 import (
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -22,14 +21,14 @@ func TestAllWorkloadsOracleClean(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, faulty := range []bool{false, true} {
-				cfg := SS2()
+				cfg := ModelSS2.Config()
 				cfg.Oracle = true
 				cfg.MaxInsts = 8_000
 				cfg.MaxCycles = 4_000_000
 				if faulty {
-					cfg.Fault = fault.Config{Rate: 5e-4, Seed: 21, Targets: fault.AllTargets}
+					cfg.Fault = FaultConfig{Rate: 5e-4, Seed: 21, Targets: AllFaultTargets()}
 				}
-				st, err := Run(program, cfg)
+				st, err := cfg.run(program)
 				if err != nil {
 					t.Fatalf("faulty=%v: %v", faulty, err)
 				}
@@ -54,11 +53,11 @@ func TestStatic2OracleClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Static2()
+		cfg := ModelStatic2.Config()
 		cfg.Oracle = true
 		cfg.MaxInsts = 8_000
 		cfg.MaxCycles = 4_000_000
-		st, err := Run(program, cfg)
+		st, err := cfg.run(program)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -77,12 +76,12 @@ func TestStallAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tiny := SS1()
-	tiny.CPU.RUUSize = 8
-	tiny.CPU.LSQSize = 8
+	tiny := ModelSS1.Config()
+	tiny.Pipeline.RUUSize = 8
+	tiny.Pipeline.LSQSize = 8
 	tiny.MaxInsts = 5_000
 	tiny.MaxCycles = 2_000_000
-	st, err := Run(program, tiny)
+	st, err := tiny.run(program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +89,11 @@ func TestStallAccounting(t *testing.T) {
 		t.Errorf("8-entry window reported no RUU-full stalls: %s", st.Summary())
 	}
 
-	tinyLSQ := SS1()
-	tinyLSQ.CPU.LSQSize = 2
+	tinyLSQ := ModelSS1.Config()
+	tinyLSQ.Pipeline.LSQSize = 2
 	tinyLSQ.MaxInsts = 5_000
 	tinyLSQ.MaxCycles = 2_000_000
-	st2, err := Run(program, tinyLSQ)
+	st2, err := tinyLSQ.run(program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestStallAccounting(t *testing.T) {
 		t.Errorf("2-entry LSQ reported no LSQ-full stalls: %s", st2.Summary())
 	}
 	// Starved configurations are slower.
-	full, err := Run(program, func() Config { c := SS1(); c.MaxInsts = 5_000; c.MaxCycles = 2_000_000; return c }())
+	full, err := func() Config { c := ModelSS1.Config(); c.MaxInsts = 5_000; c.MaxCycles = 2_000_000; return c }().run(program)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func (r Runner) runTrial(ctx context.Context, t Trial, ws *Workspace, seed int64
 // attempt is a single execution of the trial with panic containment
 // and the per-attempt deadline. The deadline is cooperative: the
 // trial's context fires at TrialTimeout and a simulation that plumbs
-// it into its run loop (as core.RunContext does) stops promptly. An
+// it into its run loop (as ftsim.Session.Run does) stops promptly. An
 // expired attempt deadline is reported as *TrialTimeoutError — a real
 // per-trial failure — except when the campaign context itself is
 // done, in which case the cancellation is passed through untouched so

@@ -238,20 +238,27 @@ func (c *Coordinator) setHealthy(w *worker, ok bool) {
 // whole fleet looks down, the least-loaded worker regardless, so a
 // recovered-but-not-yet-reprobed daemon gets a chance and a truly dead
 // fleet fails fast through the attempt budget instead of hanging.
-// Selection and load accounting happen under one lock, so concurrent
-// shard dispatches spread across the fleet instead of dogpiling.
-func (c *Coordinator) pickWorker() *worker {
+// failed is the worker that just failed this shard (nil on the first
+// attempt): it is skipped whenever another worker exists, because with
+// the fleet marked down an idle dead worker would otherwise win every
+// retry on load alone. Selection and load accounting happen under one
+// lock, so concurrent shard dispatches spread across the fleet instead
+// of dogpiling.
+func (c *Coordinator) pickWorker(failed *worker) *worker {
 	c.fleetMu.Lock()
 	defer c.fleetMu.Unlock()
-	best := c.workers[0]
-	for _, w := range c.workers[1:] {
-		if w.healthy != best.healthy {
+	var best *worker
+	for _, w := range c.workers {
+		switch {
+		case w == failed && len(c.workers) > 1:
+			// Never retry where the shard just failed.
+		case best == nil:
+			best = w
+		case w.healthy != best.healthy:
 			if w.healthy {
 				best = w
 			}
-			continue
-		}
-		if w.active < best.active {
+		case w.active < best.active:
 			best = w
 		}
 	}
@@ -392,6 +399,7 @@ func (c *Coordinator) runShardWithRetry(ctx context.Context, j *server.Job, r sh
 	mu *sync.Mutex, st *shardState, publishProgress func() (int, int)) error {
 	backoff := c.cfg.RetryBackoff
 	var lastErr error
+	var failed *worker
 	for attempt := 0; attempt < c.cfg.ShardAttempts; attempt++ {
 		if attempt > 0 {
 			c.m.redispatches.Inc()
@@ -410,7 +418,7 @@ func (c *Coordinator) runShardWithRetry(ctx context.Context, j *server.Job, r sh
 			publishProgress()
 			mu.Unlock()
 		}
-		w := c.pickWorker()
+		w := c.pickWorker(failed)
 		c.m.dispatched.Inc()
 		start := time.Now()
 		err := c.runShard(ctx, j, r, w, mu, st, publishProgress)
@@ -427,6 +435,7 @@ func (c *Coordinator) runShardWithRetry(ctx context.Context, j *server.Job, r sh
 		// Worker trouble: mark it down (the prober rights it when it
 		// recovers) and try elsewhere.
 		c.setHealthy(w, false)
+		failed = w
 		c.log.Warn("shard dispatch failed; redispatching",
 			"job", j.ID, "trials_lo", r.lo, "trials_hi", r.hi,
 			"worker", w.url, "attempt", attempt+1, "err", err)

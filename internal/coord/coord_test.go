@@ -416,3 +416,37 @@ func TestCoordinatorRejectsBadFleet(t *testing.T) {
 		t.Error("duplicate worker URL accepted")
 	}
 }
+
+// TestPickWorkerSkipsFailedWorker: with the whole fleet marked down
+// (busy workers missing their probe deadline look exactly like dead
+// ones), the worker that just failed a shard is idle and so the least
+// loaded. The retry must still go to the other worker; only a
+// single-worker fleet retries the same one.
+func TestPickWorkerSkipsFailedWorker(t *testing.T) {
+	dead := &worker{url: "http://dead", active: 0}
+	busy := &worker{url: "http://busy", active: 1}
+	c := &Coordinator{workers: []*worker{dead, busy}}
+
+	if got := c.pickWorker(nil); got != dead {
+		t.Fatalf("first attempt picked %s, want the least-loaded %s", got.url, dead.url)
+	}
+	c.release(dead)
+	if got := c.pickWorker(dead); got != busy {
+		t.Fatalf("retry picked %s, want %s (the worker that did not just fail)", got.url, busy.url)
+	}
+	if busy.active != 2 || dead.active != 0 {
+		t.Errorf("load accounting: busy=%d dead=%d, want 2 and 0", busy.active, dead.active)
+	}
+
+	// A healthy alternative still beats an unhealthy one.
+	spare := &worker{url: "http://spare", active: 5, healthy: true}
+	c.workers = append(c.workers, spare)
+	if got := c.pickWorker(dead); got != spare {
+		t.Errorf("retry picked %s, want the healthy %s", got.url, spare.url)
+	}
+
+	solo := &Coordinator{workers: []*worker{dead}}
+	if got := solo.pickWorker(dead); got != dead {
+		t.Errorf("single-worker fleet picked %s, want %s", got.url, dead.url)
+	}
+}
