@@ -3,7 +3,6 @@ package ftsim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -113,88 +112,6 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 			}
 			assertSameArchState(t, donor, restored)
 		})
-	}
-}
-
-// TestSnapshotTable2Sweep covers the satellite matrix: every Table 2
-// benchmark × R ∈ {1,2,3} × fault injection. Donor continuation and
-// restore must agree byte-identically, and (because detection and
-// recovery keep the committed state clean — EscapedFaults stays 0 for
-// R >= 2) the architectural results must equal an uninterrupted run's.
-func TestSnapshotTable2Sweep(t *testing.T) {
-	models := []struct {
-		r   int
-		cfg func() Config
-	}{
-		{1, ModelSS1.Config},
-		{2, ModelSS2.Config},
-		{3, ModelSS3.Config},
-	}
-	benches := workload.Table2()
-	if testing.Short() {
-		benches = benches[:3]
-	}
-	for _, wl := range benches {
-		program, err := wl.Build(1 << 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range models {
-			t.Run(fmt.Sprintf("%s/R%d", wl.Name, m.r), func(t *testing.T) {
-				cfg := m.cfg()
-				cfg.MaxInsts = 5_000
-				cfg.MaxCycles = 2_000_000
-				if m.r > 1 {
-					cfg.Fault = FaultConfig{Rate: 5e-4, Seed: int64(31 + m.r), Targets: AllFaultTargets()}
-				}
-
-				donor, err := buildInterrupted(cfg, 1_000, program)
-				if err != nil {
-					t.Fatal(err)
-				}
-				interruptRun(t, donor)
-				restored, err := cfg.restore(nil, donor.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				donorStats, err := donor.RunContext(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				restoredStats, err := restored.RunContext(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(donorStats, restoredStats) {
-					t.Fatalf("restored run diverges from donor continuation\ndonor:    %+v\nrestored: %+v",
-						donorStats, restoredStats)
-				}
-				assertSameArchState(t, donor, restored)
-
-				// The snapshot quiesce perturbs microarchitectural timing
-				// (it squashes in-flight work, like the paper's recovery
-				// does), so cycle counts legitimately differ from an
-				// uninterrupted run — but the committed results must not.
-				uncut, err := cfg.build(program)
-				if err != nil {
-					t.Fatal(err)
-				}
-				uncutStats, err := uncut.RunContext(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if donorStats.EscapedFaults == 0 && uncutStats.EscapedFaults == 0 {
-					if !reflect.DeepEqual(donorStats.Output, uncutStats.Output) ||
-						donorStats.Halted != uncutStats.Halted ||
-						donorStats.Committed != uncutStats.Committed {
-						t.Errorf("interrupted run's architectural results differ from uninterrupted:\ninterrupted:   committed=%d halted=%v out=%v\nuninterrupted: committed=%d halted=%v out=%v",
-							donorStats.Committed, donorStats.Halted, donorStats.Output,
-							uncutStats.Committed, uncutStats.Halted, uncutStats.Output)
-					}
-					assertSameArchState(t, donor, uncut)
-				}
-			})
-		}
 	}
 }
 

@@ -1,10 +1,10 @@
-package ftsim
+package core_test
 
 import (
 	"context"
 	"testing"
 
-	"repro/internal/asm"
+	"repro/ftsim"
 )
 
 const fuzzSrc = `
@@ -21,24 +21,24 @@ loop:   add  r2, r2, r1
 
 // snapshotFuzzMachine builds a deliberately small SS-2 machine — tiny
 // caches and predictor tables so snapshots stay a few KB — runs it into
-// the middle of a loop, and returns the config plus a mid-run snapshot.
+// the middle of a loop, and returns the machine plus a mid-run snapshot.
 // The committed corpus under testdata/fuzz/FuzzSnapshotDecode/ was
 // produced from exactly this machine, so the fuzzer mutates from a
 // structurally valid blob that the test config actually accepts.
-func snapshotFuzzMachine(tb testing.TB) (Config, []byte) {
+func snapshotFuzzMachine(tb testing.TB) (*ftsim.Machine, []byte) {
 	tb.Helper()
-	program, err := asm.Assemble("fuzz.s", fuzzSrc)
+	program, err := ftsim.Assemble("fuzz.s", fuzzSrc)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := ModelSS2.Config()
-	cfg.Memory = MemoryConfig{
-		IL1:     CacheConfig{SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
-		DL1:     CacheConfig{SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
-		L2:      CacheConfig{SizeBytes: 4096, Ways: 1, LineBytes: 64, HitLatency: 6},
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Memory = ftsim.MemoryConfig{
+		IL1:     ftsim.CacheConfig{SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
+		DL1:     ftsim.CacheConfig{SizeBytes: 1024, Ways: 1, LineBytes: 32, HitLatency: 1},
+		L2:      ftsim.CacheConfig{SizeBytes: 4096, Ways: 1, LineBytes: 64, HitLatency: 6},
 		Latency: 40,
 	}
-	cfg.BranchPred = BranchPredConfig{
+	cfg.BranchPred = ftsim.BranchPredConfig{
 		Kind:        "comb",
 		BimodalSize: 64,
 		L1Size:      2,
@@ -50,17 +50,21 @@ func snapshotFuzzMachine(tb testing.TB) (Config, []byte) {
 		BTBWays:     2,
 		RASSize:     8,
 	}
-	cfg.Fault = FaultConfig{Rate: 5e-4, Seed: 11, Targets: AllFaultTargets()}
+	cfg.Fault = ftsim.FaultConfig{Rate: 5e-4, Seed: 11, Targets: ftsim.AllFaultTargets()}
 	cfg.MaxInsts = 1_000
 	cfg.MaxCycles = 100_000
-	m, err := cfg.build(program)
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := m.RunContext(context.Background()); err != nil {
+	s, err := m.Load(program)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return cfg, m.Snapshot()
+	if _, err := s.Run(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	return m, s.Snapshot()
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot restore
@@ -73,9 +77,9 @@ func snapshotFuzzMachine(tb testing.TB) (Config, []byte) {
 // degenerate shapes.
 //
 // The committed seed corpus lives in testdata/fuzz/FuzzSnapshotDecode/;
-// `go test -fuzz=FuzzSnapshotDecode ./ftsim` explores from there.
+// `go test -fuzz=FuzzSnapshotDecode ./internal/core` explores from there.
 func FuzzSnapshotDecode(f *testing.F) {
-	cfg, blob := snapshotFuzzMachine(f)
+	m, blob := snapshotFuzzMachine(f)
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:16])
@@ -83,13 +87,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("FTSN"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rm, err := cfg.restore(nil, data)
+		s, err := m.Restore(data)
 		if err != nil {
 			return // rejected without panicking: fine
 		}
 		// An accepted blob must yield a machine that runs (or finishes)
 		// cleanly under its budget.
-		if _, err := rm.RunContext(context.Background()); err != nil {
+		if _, err := s.Run(context.Background()); err != nil {
 			t.Fatalf("restored machine failed to run: %v", err)
 		}
 	})

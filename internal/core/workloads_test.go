@@ -1,9 +1,9 @@
-package ftsim
+package core_test
 
 import (
 	"testing"
 
-	"repro/internal/workload"
+	"repro/ftsim"
 )
 
 // TestAllWorkloadsOracleClean runs every Table 2 benchmark on SS-2 with
@@ -13,22 +13,21 @@ import (
 // suite — it exercises renaming, the LSQ, FP pipelines, divides, branch
 // rewinds and the checker on all eleven instruction mixes.
 func TestAllWorkloadsOracleClean(t *testing.T) {
-	for _, p := range workload.Table2() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			program, err := p.Build(1 << 32)
+	for _, name := range ftsim.Benchmarks() {
+		t.Run(name, func(t *testing.T) {
+			program, err := ftsim.Benchmark(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, faulty := range []bool{false, true} {
-				cfg := ModelSS2.Config()
+				cfg := ftsim.ModelSS2.Config()
 				cfg.Oracle = true
 				cfg.MaxInsts = 8_000
 				cfg.MaxCycles = 4_000_000
 				if faulty {
-					cfg.Fault = FaultConfig{Rate: 5e-4, Seed: 21, Targets: AllFaultTargets()}
+					cfg.Fault = ftsim.FaultConfig{Rate: 5e-4, Seed: 21, Targets: ftsim.AllFaultTargets()}
 				}
-				st, err := cfg.run(program)
+				st, err := simulate(cfg, program)
 				if err != nil {
 					t.Fatalf("faulty=%v: %v", faulty, err)
 				}
@@ -48,16 +47,15 @@ func TestAllWorkloadsOracleClean(t *testing.T) {
 // FP-heavy benchmarks through it with the oracle.
 func TestStatic2OracleClean(t *testing.T) {
 	for _, name := range []string{"gcc", "fpppp", "swim"} {
-		p, _ := workload.ByName(name)
-		program, err := p.Build(1 << 32)
+		program, err := ftsim.Benchmark(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := ModelStatic2.Config()
+		cfg := ftsim.ModelStatic2.Config()
 		cfg.Oracle = true
 		cfg.MaxInsts = 8_000
 		cfg.MaxCycles = 4_000_000
-		st, err := cfg.run(program)
+		st, err := simulate(cfg, program)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -70,18 +68,17 @@ func TestStatic2OracleClean(t *testing.T) {
 // TestStallAccounting: a machine starved of window space reports
 // dispatch stalls; one starved of LSQ space reports LSQ stalls.
 func TestStallAccounting(t *testing.T) {
-	p, _ := workload.ByName("swim") // long FP latencies + memory traffic
-	program, err := p.Build(1 << 32)
+	program, err := ftsim.Benchmark("swim") // long FP latencies + memory traffic
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tiny := ModelSS1.Config()
+	tiny := ftsim.ModelSS1.Config()
 	tiny.Pipeline.RUUSize = 8
 	tiny.Pipeline.LSQSize = 8
 	tiny.MaxInsts = 5_000
 	tiny.MaxCycles = 2_000_000
-	st, err := tiny.run(program)
+	st, err := simulate(tiny, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +86,11 @@ func TestStallAccounting(t *testing.T) {
 		t.Errorf("8-entry window reported no RUU-full stalls: %s", st.Summary())
 	}
 
-	tinyLSQ := ModelSS1.Config()
+	tinyLSQ := ftsim.ModelSS1.Config()
 	tinyLSQ.Pipeline.LSQSize = 2
 	tinyLSQ.MaxInsts = 5_000
 	tinyLSQ.MaxCycles = 2_000_000
-	st2, err := tinyLSQ.run(program)
+	st2, err := simulate(tinyLSQ, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,12 @@ func TestStallAccounting(t *testing.T) {
 		t.Errorf("2-entry LSQ reported no LSQ-full stalls: %s", st2.Summary())
 	}
 	// Starved configurations are slower.
-	full, err := func() Config { c := ModelSS1.Config(); c.MaxInsts = 5_000; c.MaxCycles = 2_000_000; return c }().run(program)
+	full, err := simulate(func() ftsim.Config {
+		c := ftsim.ModelSS1.Config()
+		c.MaxInsts = 5_000
+		c.MaxCycles = 2_000_000
+		return c
+	}(), program)
 	if err != nil {
 		t.Fatal(err)
 	}
