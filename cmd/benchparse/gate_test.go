@@ -85,6 +85,43 @@ func TestGateAllocSlackForTinyCounts(t *testing.T) {
 	}
 }
 
+func TestCheckFailsOnMissingBaselineBenchmarks(t *testing.T) {
+	base := []Result{
+		res("BenchmarkPipelineHot/R1/RUU64", 124, nil),
+		res("BenchmarkPipelineHot/R3/RUU256", 150, nil),
+		res("BenchmarkSimulatorThroughput", 124, nil),
+	}
+	cur := []Result{res("BenchmarkPipelineHot/R1/RUU64", 124, nil)}
+	failures, _, compared := check(cur, base, 0.10, 0.10)
+	if compared != 1 {
+		t.Errorf("compared %d, want 1", compared)
+	}
+	if len(failures) != 1 ||
+		!strings.Contains(failures[0], "BenchmarkPipelineHot/R3/RUU256") ||
+		!strings.Contains(failures[0], "BenchmarkSimulatorThroughput") {
+		t.Errorf("failures = %v, want one naming both missing benchmarks", failures)
+	}
+	// The full set passes.
+	if failures, _, _ := check(base, base, 0.10, 0.10); len(failures) != 0 {
+		t.Errorf("identical run failed the gate: %v", failures)
+	}
+}
+
+func TestCheckFailsWithZeroComparisons(t *testing.T) {
+	// Nothing gateable on either side: no allocations, no */s metric.
+	base := []Result{res("BenchmarkFig5/gcc", 0, map[string]float64{"ipc": 2.5})}
+	cur := []Result{res("BenchmarkFig5/gcc", 0, map[string]float64{"ipc": 2.5})}
+	failures, _, compared := check(cur, base, 0.10, 0.10)
+	if compared != 0 || len(failures) != 1 || !strings.Contains(failures[0], "no comparisons") {
+		t.Errorf("compared %d, failures %v; want a zero-comparison failure", compared, failures)
+	}
+	// A run sharing no benchmark with the baseline fails both ways.
+	failures, skipped, _ := check([]Result{res("BenchmarkOther", 5, nil)}, base, 0.10, 0.10)
+	if len(failures) != 2 || len(skipped) != 1 {
+		t.Errorf("failures %v, skipped %v; want missing + zero-comparison failures", failures, skipped)
+	}
+}
+
 func TestParseLine(t *testing.T) {
 	r, ok := parseLine("BenchmarkCampaign/parallel-8   12   196372755 ns/op   170359959 B/op   331577 allocs/op   168.0 gridTrials/s")
 	if !ok {

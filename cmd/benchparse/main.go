@@ -19,11 +19,18 @@
 //
 // Allocations per op are gated upward (more is a regression) and
 // throughput metrics — those whose unit ends in "/s" — downward (less
-// is a regression). Benchmarks present on only one side are reported
-// but do not fail the gate, so adding or retiring a benchmark does not
-// require a lock-step baseline update. Time per op is deliberately not
-// gated: it is the reciprocal of the throughput metrics but noisier to
-// compare across hosts.
+// is a regression). A benchmark new to the run is reported but does not
+// fail the gate, so adding one needs no lock-step baseline update. The
+// gate does fail when a baseline benchmark is missing from the run (a
+// renamed or deleted benchmark would otherwise drop out of coverage
+// silently) and when it made no comparison at all. Time per op is
+// deliberately not gated: it is the reciprocal of the throughput
+// metrics but noisier to compare across hosts.
+//
+// The file header records the host: OS, architecture and CPU model from
+// the benchmark output, and the CPU count and GOMAXPROCS of the host
+// benchparse runs on (the same host, when it is fed straight from go
+// test as scripts/bench.sh does).
 package main
 
 import (
@@ -32,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,11 +59,13 @@ type Result struct {
 
 // File is the on-disk schema: environment header plus per-label results.
 type File struct {
-	Note   string              `json:"note,omitempty"`
-	Goos   string              `json:"goos,omitempty"`
-	Goarch string              `json:"goarch,omitempty"`
-	CPU    string              `json:"cpu,omitempty"`
-	Labels map[string][]Result `json:"labels"`
+	Note       string              `json:"note,omitempty"`
+	Goos       string              `json:"goos,omitempty"`
+	Goarch     string              `json:"goarch,omitempty"`
+	CPU        string              `json:"cpu,omitempty"`
+	NumCPU     int                 `json:"num_cpu,omitempty"`
+	GOMAXPROCS int                 `json:"gomaxprocs,omitempty"`
+	Labels     map[string][]Result `json:"labels"`
 }
 
 func main() {
@@ -116,6 +126,7 @@ func main() {
 		os.Exit(1)
 	}
 	f.Labels[*label] = results
+	f.NumCPU, f.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
 
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
@@ -145,16 +156,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchparse: gate baseline %s has no label %q\n", *gateFile, *gateLabel)
 			os.Exit(1)
 		}
-		regressions, skipped, compared := gate(results, baseline, *allocThreshold, *speedThreshold)
+		failures, skipped, compared := check(results, baseline, *allocThreshold, *speedThreshold)
 		for _, s := range skipped {
 			fmt.Printf("benchparse: gate: skipping %s (not in baseline)\n", s)
 		}
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "benchparse: REGRESSION: %s\n", r)
+		if len(failures) > 0 {
+			for _, r := range failures {
+				fmt.Fprintf(os.Stderr, "benchparse: FAIL: %s\n", r)
 			}
-			fmt.Fprintf(os.Stderr, "benchparse: gate FAILED against %s label %q (%d regressions)\n",
-				*gateFile, *gateLabel, len(regressions))
+			fmt.Fprintf(os.Stderr, "benchparse: gate FAILED against %s label %q (%d failures, %d comparisons)\n",
+				*gateFile, *gateLabel, len(failures), compared)
 			os.Exit(1)
 		}
 		fmt.Printf("benchparse: gate passed against %s label %q (%d comparisons)\n",
@@ -210,6 +221,34 @@ func gate(cur, baseline []Result, allocT, speedT float64) (regressions, skipped 
 		}
 	}
 	return regressions, skipped, compared
+}
+
+// check runs the gate and returns every reason it fails (none: it
+// passes), the names skipped for having no baseline entry, and the
+// number of comparisons made. Besides gate's regressions, a run fails
+// when a baseline benchmark is missing from it (the missing names are
+// listed) or when it made no comparison at all, since either way the
+// baseline's coverage silently shrank.
+func check(cur, baseline []Result, allocT, speedT float64) (failures, skipped []string, compared int) {
+	failures, skipped, compared = gate(cur, baseline, allocT, speedT)
+	ran := make(map[string]bool, len(cur))
+	for _, c := range cur {
+		ran[c.Name] = true
+	}
+	var missing []string
+	for _, b := range baseline {
+		if !ran[b.Name] {
+			missing = append(missing, b.Name)
+		}
+	}
+	if len(missing) > 0 {
+		failures = append(failures, fmt.Sprintf("%d baseline benchmarks missing from the run: %s",
+			len(missing), strings.Join(missing, ", ")))
+	}
+	if compared == 0 {
+		failures = append(failures, "no comparisons made")
+	}
+	return failures, skipped, compared
 }
 
 // parseLine parses one benchmark result line of the form

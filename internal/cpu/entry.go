@@ -88,18 +88,32 @@ type mapRef struct {
 // power of two so every ring-index step is a mask instead of a divide;
 // the architectural capacity (how many entries may be live at once) stays
 // the configured size, enforced by free()/alloc().
+//
+// The ring also carries the issue bitmaps, one bit per slot (see
+// issueEvent): ready marks valid, unissued, unparked entries with every
+// operand; poolSlots[p] marks entries of functional-unit class p.
+// Freeing a slot clears its bits, so a ready bit always names a live entry.
 type ruu struct {
-	entries []Entry
-	mask    int // len(entries) - 1
-	limit   int // architectural capacity (cfg.RUUSize)
-	head    int // oldest valid entry
-	tail    int // next free slot
-	count   int
+	entries   []Entry
+	ready     []uint64
+	poolSlots [isa.NumPools][]uint64
+	mask      int // len(entries) - 1
+	limit     int // architectural capacity (cfg.RUUSize)
+	head      int // oldest valid entry
+	tail      int // next free slot
+	count     int
 }
 
 func newRUU(size int) *ruu {
 	capacity := nextPow2(size)
-	return &ruu{entries: make([]Entry, capacity), mask: capacity - 1, limit: size}
+	words := (capacity + 63) / 64
+	slab := make([]uint64, words*(1+int(isa.NumPools)))
+	r := &ruu{entries: make([]Entry, capacity), ready: slab[:words:words], mask: capacity - 1, limit: size}
+	for p := range r.poolSlots {
+		lo := (p + 1) * words
+		r.poolSlots[p] = slab[lo : lo+words : lo+words]
+	}
+	return r
 }
 
 // reset empties the ring in place, zeroing every slot (a cancelled or
@@ -108,8 +122,28 @@ func newRUU(size int) *ruu {
 // callers reallocate when nextPow2 of the new size differs.
 func (r *ruu) reset(size int) {
 	clear(r.entries)
+	clear(r.ready)
+	for p := range r.poolSlots {
+		clear(r.poolSlots[p])
+	}
 	r.limit = size
 	r.head, r.tail, r.count = 0, 0, 0
+}
+
+// markReady sets slot idx's ready bit; setting it again is harmless.
+func (r *ruu) markReady(idx int) { r.ready[idx>>6] |= 1 << (idx & 63) }
+
+// setPool records that slot idx's entry executes on class p.
+func (r *ruu) setPool(idx int, p isa.Pool) { r.poolSlots[p][idx>>6] |= 1 << (idx & 63) }
+
+// clearSlot drops slot idx, still holding its entry e, from the issue
+// bitmaps. Only dispatch sets a class bit, and it sets e.OI's.
+func (r *ruu) clearSlot(idx int, e *Entry) {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	r.ready[w] &^= bit
+	if e.OI != nil {
+		r.poolSlots[e.OI.Pool][w] &^= bit
+	}
 }
 
 func (r *ruu) size() int   { return len(r.entries) }
@@ -137,6 +171,7 @@ func (r *ruu) release() {
 	if r.count == 0 {
 		panic("cpu: RUU underflow")
 	}
+	r.clearSlot(r.head, &r.entries[r.head])
 	r.entries[r.head] = Entry{}
 	r.head = (r.head + 1) & r.mask
 	r.count--
@@ -171,6 +206,7 @@ func (r *ruu) truncateAfter(seq uint64, squashAll bool) int {
 		if !squashAll && e.Seq <= seq {
 			break
 		}
+		r.clearSlot(lastIdx, e)
 		r.entries[lastIdx] = Entry{}
 		r.tail = lastIdx
 		r.count--

@@ -22,12 +22,16 @@ func TestScanVsEventEquivalence(t *testing.T) {
 		name    string
 		r       int
 		cosched bool
+		ruu     int // 0: Table 1's 128 entries
 	}
 	variants := []variant{
-		{"R1", 1, false},
-		{"R2", 2, false},
-		{"R2-cosched", 2, true},
-		{"R3", 3, false},
+		{"R1", 1, false, 0},
+		{"R2", 2, false, 0},
+		{"R2-cosched", 2, true, 0},
+		{"R3", 3, false, 0},
+		// A four-word issue bitmap whose 255-entry limit leaves the
+		// ring wrapping mid-word.
+		{"R3-RUU256", 3, false, 256},
 	}
 	for _, p := range workload.Table2() {
 		p := p
@@ -42,6 +46,10 @@ func TestScanVsEventEquivalence(t *testing.T) {
 					cfg := Baseline()
 					cfg.R = v.r
 					cfg.CoSchedule = v.cosched
+					if v.ruu > 0 {
+						cfg.RUUSize = v.ruu
+						cfg.LSQSize = v.ruu / 2
+					}
 					if v.r > 1 {
 						cfg.Checker = testChecker{}
 						cfg.RUUSize -= cfg.RUUSize % v.r
@@ -97,7 +105,7 @@ func TestScanVsEventFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ruu := range []int{16, 64, 128} {
+	for _, ruu := range []int{16, 64, 128, 256} {
 		ruu := ruu
 		t.Run(fmt.Sprintf("RUU%d", ruu), func(t *testing.T) {
 			run := func(naive bool) *Stats {

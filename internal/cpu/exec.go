@@ -20,13 +20,14 @@ type issueResult uint8
 const (
 	// issueOK: the entry started executing and consumed issue width.
 	issueOK issueResult = iota
-	// issueStall: a structural hazard (busy functional unit, blocked
-	// load) with no completion event tied to its resolution; the
-	// scheduler retries next cycle.
+	// issueStall: a blocked load with no completion event tied to its
+	// resolution; the scheduler retries next cycle.
 	issueStall
+	// issueFUBusy: every unit of the entry's class is taken this cycle.
+	issueFUBusy
 	// issueParked: a redundant load copy gated on its group's single
-	// memory access; copy 0's completion re-queues it, so the scheduler
-	// need not retry in between.
+	// memory access; copy 0's completion makes it ready again, so the
+	// scheduler need not retry in between.
 	issueParked
 )
 
@@ -59,7 +60,7 @@ func (m *Machine) tryIssueEntry(idx int, e *Entry) issueResult {
 		}
 		unit = pool.tryIssue(m.cycle, oi.Latency, oi.Pipelined, prefer)
 		if unit < 0 {
-			return issueStall
+			return issueFUBusy
 		}
 	}
 
@@ -254,9 +255,10 @@ func (m *Machine) groupCopy0(idx int, e *Entry) *Entry {
 // branchRewind squashes every entry younger than the resolving branch's
 // group and redirects fetch to the resolved target. All copies of the
 // group adopt the new expected path so identical resolutions do not
-// re-trigger. The event structures (wait-lists, ready queue, calendar)
-// are repaired lazily: their records carry the squashed entries' seqs
-// and are dropped when they next surface (see sched.go).
+// re-trigger. The RUU's truncation clears the squashed slots' issue
+// bits; wait-list and calendar records are repaired lazily: they carry
+// the squashed entries' seqs and are dropped when they next surface
+// (see sched.go).
 func (m *Machine) branchRewind(idx int, e *Entry) {
 	// The group occupies copies 0..R-1; the boundary is the last copy.
 	copy0Idx := m.ruu.wrap(idx - e.Copy)

@@ -60,8 +60,6 @@ type Machine struct {
 	issueFn     func()
 	writebackFn func()
 	waitlists   [][]waiter // per-RUU-slot consumer lists
-	ready       readyQueue
-	retry       []readyRec // issue-stage scratch, reused across cycles
 	cal         calendar
 	dec         *decCache
 
@@ -369,8 +367,11 @@ func (m *Machine) dispatch() {
 			} else {
 				m.renameCopyK(idx, e, copy0, k)
 			}
-			if m.eventSched && e.ready() {
-				m.ready.push(readyRec{idx: int32(idx), seq: e.Seq})
+			if m.eventSched {
+				m.ruu.setPool(idx, oi.Pool)
+				if e.ready() {
+					m.ruu.markReady(idx)
+				}
 			}
 			m.emit(trace.StageDispatch, e)
 			m.stats.Dispatched++

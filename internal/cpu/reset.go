@@ -18,7 +18,7 @@ const watchCap = 8
 
 // Reset re-initialises the machine in place for a fresh run of program
 // p under cfg, reusing every allocation whose geometry still fits:
-// the RUU/LSQ entry slabs, wait-lists, ready queue, completion
+// the RUU/LSQ entry slabs and issue bitmaps, wait-lists, completion
 // calendar, decode cache, fetch ring, functional units, cache line
 // slabs, branch predictor tables and memory pages. Structures whose
 // geometry changed (for example a different RUU size) are rebuilt.
@@ -118,12 +118,6 @@ func (m *Machine) resetHardware(cfg Config) {
 		for i := range m.waitlists {
 			m.waitlists[i] = m.waitlists[i][:0]
 		}
-	}
-	m.ready.init(storage)
-	if cap(m.retry) < storage {
-		m.retry = make([]readyRec, 0, storage)
-	} else {
-		m.retry = m.retry[:0]
 	}
 	m.cal.init()
 	if m.dec == nil {

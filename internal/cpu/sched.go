@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -28,75 +30,26 @@ func nextPow2(n int) int {
 //   - calendar: a completion time-wheel keyed on DoneAt (with a min-heap
 //     fallback for latencies beyond the wheel), so writeback visits only
 //     the entries finishing this cycle (replaces the writeback scan);
-//   - readyQueue: a seq-ordered min-heap of issuable entries fed by
-//     dispatch and wakeup, so issue considers only ready entries
-//     (replaces the issue scan).
+//   - issue bitmaps: one ready bit per RUU slot, set by dispatch and
+//     wakeup, plus one slot mask per functional-unit class, so issue
+//     visits only ready entries and drops a whole class at once when its
+//     units are taken (replaces the issue scan; see issueEvent).
 //
-// Squash repair is lazy: every record carries the (ring index, seq) pair
-// of the entry it refers to, and a record whose seq no longer matches the
-// entry at its index is dropped when it surfaces. This is sound because
-// seqs are never reused: a squashed entry's slot is either empty (Valid
-// false) or re-allocated under a strictly larger seq, so stale records
-// can never act on the wrong instruction. Producer wait-lists are
-// additionally cleared when their slot is re-allocated, which bounds
-// them without a scan. Determinism is preserved because every queue is
-// drained in seq order — exactly the oldest-first order the scans
-// enforced — so the sequence of functional-unit reservations, fault-
-// injector rolls and branch rewinds is bit-identical to the scan-based
-// kernel (TestScanVsEventEquivalence is the referee).
-
-// readyRec identifies one entry awaiting issue.
-type readyRec struct {
-	idx int32
-	seq uint64
-}
-
-// readyQueue holds the issuable entries in age order. `list` is the
-// seq-sorted pending set carried across cycles; `in` collects the
-// cycle's arrivals (dispatch and wakeup push here) and is merged into
-// the pending set by the issue pass. A sorted list beats a heap here
-// because every pending entry is reconsidered each cycle anyway — the
-// merge walk is sequential memory traffic instead of O(log n) sift
-// churn per record.
-type readyQueue struct {
-	list []readyRec // seq-sorted, carried across cycles
-	in   []readyRec // unsorted arrivals since the last issue pass
-}
-
-func (q *readyQueue) push(r readyRec) { q.in = append(q.in, r) }
-
-func (q *readyQueue) empty() bool { return len(q.list) == 0 && len(q.in) == 0 }
-
-// sortIn orders the cycle's arrivals by seq. Arrivals are pushed in
-// almost-increasing order (dispatch allocates seqs monotonically and
-// wakeups fire oldest-producer-first), so insertion sort is exact and
-// effectively linear.
-func (q *readyQueue) sortIn() {
-	for i := 1; i < len(q.in); i++ {
-		r := q.in[i]
-		j := i - 1
-		for j >= 0 && q.in[j].seq > r.seq {
-			q.in[j+1] = q.in[j]
-			j--
-		}
-		q.in[j+1] = r
-	}
-}
-
-func (q *readyQueue) reset() { q.list, q.in = q.list[:0], q.in[:0] }
-
-// init empties the queue and pre-sizes both sides to hold n records, so
-// steady-state pushes never grow the backing arrays. Reused queues keep
-// whatever capacity they have already grown to.
-func (q *readyQueue) init(n int) {
-	if cap(q.list) < n {
-		q.list = make([]readyRec, 0, n)
-	}
-	if cap(q.in) < n {
-		q.in = make([]readyRec, 0, n)
-	}
-	q.reset()
-}
+// The bitmaps are cleared eagerly whenever a slot is freed (commit,
+// squash, quiesce, reset), so a set ready bit always names a live entry.
+// Wait-list and calendar records are repaired lazily instead: each
+// carries the (ring index, seq) pair of the entry it refers to, and a
+// record whose seq no longer matches the entry at its index is dropped
+// when it surfaces. This is sound because seqs are never reused: a
+// squashed entry's slot is either empty (Valid false) or re-allocated
+// under a strictly larger seq, so stale records can never act on the
+// wrong instruction. Producer wait-lists are additionally cleared when
+// their slot is re-allocated, which bounds them without a scan.
+// Determinism is preserved because every stage visits its entries
+// oldest first — exactly the order the scans enforced — so the sequence
+// of functional-unit reservations, fault-injector rolls and branch
+// rewinds is bit-identical to the scan-based kernel
+// (TestScanVsEventEquivalence is the referee).
 
 // waiter records one operand of one consumer waiting on a producer.
 type waiter struct {
@@ -374,8 +327,8 @@ func (f *fetchRing) renew(depth int) *fetchRing {
 // scheduler (test files only) swaps itself in for equivalence testing.
 
 // wakeup delivers a completed result to exactly the consumers registered
-// on the producer's wait-list, and feeds newly ready consumers to the
-// ready queue. It replaces the full-RUU broadcast scan.
+// on the producer's wait-list, and sets the ready bit of every consumer
+// that now has all its operands. It replaces the full-RUU broadcast scan.
 func (m *Machine) wakeup(idx int, producer *Entry) {
 	wl := m.waitlists[idx]
 	for i := range wl {
@@ -391,7 +344,7 @@ func (m *Machine) wakeup(idx int, producer *Entry) {
 		op.Ready = true
 		op.Value = producer.Result
 		if !c.Issued && c.ready() {
-			m.ready.push(readyRec{idx: w.idx, seq: c.Seq})
+			m.ruu.markReady(int(w.idx))
 		}
 	}
 	// Every live waiter has been served (completion is broadcast once),
@@ -415,15 +368,14 @@ func (m *Machine) complete(idx int, e *Entry) {
 	m.wakeup(idx, e)
 
 	// A load group's redundant copies are gated on copy 0's single
-	// memory access (Section 5.1.2); they were parked by the issue stage
-	// and become eligible exactly now. Duplicate records are harmless:
-	// the issue pass drops any record whose entry has already issued.
+	// memory access (Section 5.1.2); the issue stage cleared their ready
+	// bits when it parked them, and they become eligible exactly now.
 	if e.Copy == 0 && e.OI.IsLoad {
 		for k := 1; k < m.cfg.R; k++ {
 			sidx := m.ruu.wrap(idx + k)
 			s := m.ruu.at(sidx)
 			if s.Valid && s.GID == e.GID && !s.Issued && s.ready() {
-				m.ready.push(readyRec{idx: int32(sidx), seq: s.Seq})
+				m.ruu.markReady(sidx)
 			}
 		}
 	}
@@ -453,46 +405,55 @@ func (m *Machine) writebackEvent() {
 }
 
 // issueEvent selects ready entries oldest-first, up to IssueWidth
-// successful issues: the cycle's arrivals are merged (in seq order) with
-// the pending set carried from previous cycles, which reproduces the
-// age-ordered scan exactly. Structural stalls (busy functional unit,
-// blocked load) stay pending and retry next cycle; gated redundant load
-// copies are parked and re-queued by their copy 0's completion; stale
-// records (squashes, slot reuse) drop on the floor.
+// successful issues, by walking the ready bitmap from the RUU head (ring
+// order from the head is age order). The head's word is visited twice:
+// first its bits from the head up, last its bits below the head.
+//
+// Issued and parked entries leave the ready set (copy 0's completion
+// re-arms a parked copy); a blocked load keeps its bit and retries next
+// cycle. A busy functional unit keeps the bit too and marks its class
+// full for the cycle: busyUntil only grows within a cycle, so one
+// AND-NOT of the class mask drops every younger candidate unprobed.
 func (m *Machine) issueEvent() {
-	q := &m.ready
-	q.sortIn()
+	r := m.ruu
 	budget := m.cfg.IssueWidth
-	out := m.retry[:0] // next cycle's pending set, built in merge order
-	i, j := 0, 0
-	for i < len(q.list) || j < len(q.in) {
-		var rec readyRec
-		if j >= len(q.in) || (i < len(q.list) && q.list[i].seq <= q.in[j].seq) {
-			rec = q.list[i]
-			i++
-		} else {
-			rec = q.in[j]
-			j++
+	words := len(r.ready)
+	hw, hb := r.head>>6, uint(r.head&63)
+	var full uint8 // bit p set: class p refused a unit this cycle
+	for i := 0; i <= words; i++ {
+		w := hw + i
+		if w >= words {
+			w -= words
 		}
-		if budget == 0 {
-			// Width exhausted: keep the rest pending, order intact.
-			out = append(out, rec)
-			continue
+		cand := r.ready[w]
+		switch i {
+		case 0:
+			cand &= ^uint64(0) << hb
+		case words:
+			cand &= 1<<hb - 1
 		}
-		e := m.ruu.at(int(rec.idx))
-		if !e.Valid || e.Seq != rec.seq || e.Issued || !e.ready() {
-			continue // stale record (squash or slot reuse)
+		for f := full; f != 0; f &= f - 1 {
+			cand &^= r.poolSlots[bits.TrailingZeros8(f)][w]
 		}
-		switch m.tryIssueEntry(int(rec.idx), e) {
-		case issueOK:
-			budget--
-		case issueStall:
-			out = append(out, rec)
-		case issueParked:
-			// Dropped; the gating completion re-queues it.
+		for cand != 0 {
+			b := bits.TrailingZeros64(cand)
+			bit := uint64(1) << b
+			cand &^= bit
+			idx := w<<6 | b
+			e := r.at(idx)
+			switch m.tryIssueEntry(idx, e) {
+			case issueOK:
+				r.ready[w] &^= bit
+				if budget--; budget == 0 {
+					return
+				}
+			case issueParked:
+				r.ready[w] &^= bit
+			case issueFUBusy:
+				p := e.OI.Pool
+				full |= 1 << p
+				cand &^= r.poolSlots[p][w]
+			}
 		}
 	}
-	q.in = q.in[:0]
-	m.retry = q.list[:0] // old pending array becomes next cycle's scratch
-	q.list = out
 }

@@ -1,10 +1,12 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -49,34 +51,173 @@ func TestCalendarSeqSortMixedLatency(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Ready queue.
+// Bitmap issue select.
 
-func TestReadyQueueMergeOrder(t *testing.T) {
-	var q readyQueue
-	q.list = append(q.list, readyRec{seq: 2}, readyRec{seq: 9})
-	q.push(readyRec{seq: 7})
-	q.push(readyRec{seq: 4}) // out of order arrival
-	q.sortIn()
-	if q.in[0].seq != 4 || q.in[1].seq != 7 {
-		t.Fatalf("sortIn gave %v", q.in)
+// TestBitmapSelect drives issueEvent by hand on a four-word ring: the
+// select order, the class-full drop and the parking of gated load
+// copies, each checked against the issue trace and the ready bits.
+func TestBitmapSelect(t *testing.T) {
+	t.Run("oldest-first-across-wrap", testSelectOldestFirstAcrossWrap)
+	t.Run("full-class-drops-younger", testSelectFullClassDropsYounger)
+	t.Run("parked-copy-rearmed", testSelectParkedCopyRearmed)
+}
+
+// selectMachine builds a 256-slot (four-word) machine for driving
+// issueEvent by hand, with every issue recorded by a trace buffer.
+func selectMachine(t *testing.T, r, issueWidth int) (*Machine, *trace.Buffer) {
+	t.Helper()
+	cfg := Baseline()
+	cfg.RUUSize = 256
+	cfg.IssueWidth = issueWidth
+	cfg.R = r
+	if r > 1 {
+		cfg.Checker = testChecker{}
 	}
-	// Merge as issueEvent does.
-	var merged []uint64
-	i, j := 0, 0
-	for i < len(q.list) || j < len(q.in) {
-		if j >= len(q.in) || (i < len(q.list) && q.list[i].seq <= q.in[j].seq) {
-			merged = append(merged, q.list[i].seq)
-			i++
-		} else {
-			merged = append(merged, q.in[j].seq)
-			j++
+	buf := trace.NewBuffer(64)
+	cfg.Tracer = buf
+	b := prog.NewBuilder("select")
+	b.Halt()
+	m, err := New(cfg, b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.cycle = 1
+	return m, buf
+}
+
+// fillWindow makes the RUU hold one entry per op, oldest first from ring
+// slot head, and feeds the issue bitmaps as dispatch does. Entries
+// listed in ready have all operands; the others wait on one.
+func fillWindow(m *Machine, head int, ops []isa.Op, ready map[int]bool) []int {
+	m.ruu.head, m.ruu.tail = head, head
+	slots := make([]int, len(ops))
+	for i, op := range ops {
+		idx := m.ruu.alloc()
+		slots[i] = idx
+		m.seq++
+		m.gid++
+		e := m.ruu.at(idx)
+		*e = Entry{Valid: true, Seq: m.seq, GID: m.gid, Inst: isa.Inst{Op: op}, OI: isa.Info(op), LSQ: -1, FUUnit: -1}
+		if !ready[i] {
+			e.Ops[0] = Operand{Used: true}
+		}
+		m.ruu.setPool(idx, e.OI.Pool)
+		if e.ready() {
+			m.ruu.markReady(idx)
 		}
 	}
-	want := []uint64{2, 4, 7, 9}
-	for k := range want {
-		if merged[k] != want[k] {
-			t.Fatalf("merge order %v, want %v", merged, want)
+	return slots
+}
+
+func isReady(m *Machine, idx int) bool { return m.ruu.ready[idx>>6]&(1<<(idx&63)) != 0 }
+
+// issuedSeqs returns the seqs issued since the buffer was created, in
+// issue order.
+func issuedSeqs(buf *trace.Buffer) []uint64 {
+	var seqs []uint64
+	for _, ev := range buf.Events() {
+		if ev.Stage == trace.StageIssue {
+			seqs = append(seqs, ev.Seq)
 		}
+	}
+	return seqs
+}
+
+func testSelectOldestFirstAcrossWrap(t *testing.T) {
+	// Head in the last word (slot 250); the window wraps into the first
+	// word. Ready entries sit in both words, and the issue width admits
+	// only three of the four.
+	m, buf := selectMachine(t, 1, 3)
+	ops := make([]isa.Op, 12)
+	for i := range ops {
+		ops[i] = isa.OpAdd
+	}
+	slots := fillWindow(m, 250, ops, map[int]bool{2: true, 4: true, 7: true, 9: true})
+	if slots[2] != 252 || slots[4] != 254 || slots[7] != 1 || slots[9] != 3 {
+		t.Fatalf("window layout %v", slots)
+	}
+	m.issueEvent()
+	seq := func(i int) uint64 { return m.ruu.at(slots[i]).Seq }
+	got, want := issuedSeqs(buf), []uint64{seq(2), seq(4), seq(7)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("issued seqs %v, want %v (oldest first across the wrap)", got, want)
+	}
+	for _, i := range []int{2, 4, 7} {
+		if isReady(m, slots[i]) {
+			t.Errorf("slot %d issued but still ready", slots[i])
+		}
+	}
+	if !isReady(m, slots[9]) {
+		t.Error("youngest candidate lost its ready bit with the width spent")
+	}
+}
+
+func testSelectFullClassDropsYounger(t *testing.T) {
+	// Baseline has one FP multiplier. The oldest fmul takes it, the next
+	// is refused, and every younger fmul — in the same word and in a
+	// later one — must drop without being probed, while younger adds
+	// still issue.
+	m, buf := selectMachine(t, 1, 8)
+	ops := make([]isa.Op, 72)
+	for i := range ops {
+		ops[i] = isa.OpAdd
+	}
+	for _, i := range []int{0, 1, 3, 70} {
+		ops[i] = isa.OpFmul
+	}
+	ready := map[int]bool{0: true, 1: true, 2: true, 3: true, 70: true, 71: true}
+	slots := fillWindow(m, 0, ops, ready)
+	// A probe of a dropped candidate would dereference its nil OpInfo.
+	m.ruu.at(slots[3]).OI = nil
+	m.ruu.at(slots[70]).OI = nil
+	m.issueEvent()
+	seq := func(i int) uint64 { return m.ruu.at(slots[i]).Seq }
+	got, want := issuedSeqs(buf), []uint64{seq(0), seq(2), seq(71)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("issued seqs %v, want %v", got, want)
+	}
+	for _, i := range []int{1, 3, 70} {
+		if !isReady(m, slots[i]) {
+			t.Errorf("refused fmul at slot %d lost its ready bit", slots[i])
+		}
+	}
+	for _, i := range []int{0, 2, 71} {
+		if isReady(m, slots[i]) {
+			t.Errorf("issued slot %d still ready", slots[i])
+		}
+	}
+}
+
+func testSelectParkedCopyRearmed(t *testing.T) {
+	// An R=2 load group: copy 0 still waits on its address operand, copy
+	// 1 has its operands. Copy 1 parks (its bit clears) until copy 0's
+	// completion sets it again; then it issues with copy 0's value.
+	m, buf := selectMachine(t, 2, 8)
+	slots := fillWindow(m, 0, []isa.Op{isa.OpLd, isa.OpLd}, map[int]bool{1: true})
+	c0, c1 := m.ruu.at(slots[0]), m.ruu.at(slots[1])
+	c1.GID, c1.Copy = c0.GID, 1
+	m.issueEvent()
+	if n := len(issuedSeqs(buf)); n != 0 {
+		t.Fatalf("%d issues, want none", n)
+	}
+	if isReady(m, slots[1]) {
+		t.Fatal("parked copy kept its ready bit")
+	}
+
+	c0.LSQ = m.lsq.alloc()
+	le := m.lsq.at(c0.LSQ)
+	le.valid, le.dataValid, le.loadVal = true, true, 42
+	m.complete(slots[0], c0)
+	if !isReady(m, slots[1]) {
+		t.Fatal("copy 0's completion did not set the parked copy's bit")
+	}
+	m.cycle++
+	m.issueEvent()
+	if got := issuedSeqs(buf); !slices.Equal(got, []uint64{c1.Seq}) || c1.Result != 42 {
+		t.Fatalf("issued %v with result %d, want copy 1 (seq %d) with 42", got, c1.Result, c1.Seq)
+	}
+	if isReady(m, slots[1]) {
+		t.Fatal("issued copy still ready")
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the simulator's tracking benchmarks and record them in the bench
-# trajectory file (BENCH_PR9.json and predecessors) under a label
+# trajectory file (BENCH_PR13.json and predecessors) under a label
 # (default "after"), optionally gating the fresh numbers against a
 # recorded baseline.
 #
@@ -21,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 label="${1:-after}"
-out="${2:-BENCH_PR9.json}"
+out="${2:-BENCH_PR13.json}"
 benchtime="${BENCH_TIME:-2s}"
 pattern="${BENCH_PATTERN:-Campaign|PipelineHot|SimulatorThroughput}"
 
