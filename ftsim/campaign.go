@@ -71,7 +71,7 @@ type campaignOpts struct {
 	backoff      time.Duration
 	failFast     bool
 	metrics      *campaign.Metrics
-	seedOffset   int
+	seedIndex    func(int) int
 }
 
 // WithWorkers sets the worker-pool size (0 = GOMAXPROCS, 1 = serial).
@@ -86,14 +86,18 @@ func WithCampaignSeed(seed int64) CampaignOption {
 	return func(o *campaignOpts) { o.seed = seed }
 }
 
-// WithTrialSeedOffset shifts seed derivation: trial i draws the seed of
-// parent-grid index offset+i. It is how a shard of a larger campaign
-// keeps per-trial seeds identical to the unsharded run — a coordinator
-// dispatches trials [offset, offset+n) of the parent grid as a
-// shard-local grid [0, n) with this option, and the merged statistics
-// come out byte-identical to one daemon running the whole range.
-func WithTrialSeedOffset(offset int) CampaignOption {
-	return func(o *campaignOpts) { o.seedOffset = offset }
+// WithSeedIndex maps trial i to the grid index its fault seed derives
+// from (nil, the default, is the identity). Two uses:
+//
+//   - seed groups: trials mapped to one index see the identical fault
+//     stream, so a row comparing designs (R=2 vs R=3 at one fault rate)
+//     measures the designs, not the RNG draws;
+//   - shards: a coordinator dispatches trials [off, off+n) of a parent
+//     grid as a shard-local grid [0, n) with func(i int) int { return
+//     off + i }, and the merged statistics come out byte-identical to
+//     one daemon running the whole range.
+func WithSeedIndex(fn func(i int) int) CampaignOption {
+	return func(o *campaignOpts) { o.seedIndex = fn }
 }
 
 // WithCampaignProgress streams trial completions to fn (serialised, in
@@ -240,10 +244,7 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 			FlushEvery: o.flushEvery,
 		}
 	}
-	spec := campaign.Spec{Name: name, Seed: o.seed, Trials: specTrials}
-	if off := o.seedOffset; off != 0 {
-		spec.SeedIndex = func(i int) int { return off + i }
-	}
+	spec := campaign.Spec{Name: name, Seed: o.seed, SeedIndex: o.seedIndex, Trials: specTrials}
 	return runner.Run(ctx, spec)
 }
 

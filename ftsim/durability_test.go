@@ -191,8 +191,8 @@ func TestRunCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunCampaignTrialSeedOffset: a sub-range of a grid run with
-// WithTrialSeedOffset produces exactly the statistics the full run
+// TestRunCampaignTrialSeedOffset: a sub-range [lo, hi) of a grid run
+// with WithSeedIndex(i -> lo+i) produces exactly the statistics the full run
 // produced at those indices — the invariant that makes sharded
 // campaigns merge byte-identical to unsharded ones. Fault injection is
 // enabled on half the grid, so a wrong seed would change the numbers.
@@ -209,6 +209,9 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 	}
 
 	// Split the grid at every boundary, including the degenerate ones.
+	offset := func(off int) ftsim.CampaignOption {
+		return ftsim.WithSeedIndex(func(i int) int { return off + i })
+	}
 	for cut := 0; cut <= len(trials); cut++ {
 		var got []*ftsim.Stats
 		for _, part := range []struct{ lo, hi int }{{0, cut}, {cut, len(trials)}} {
@@ -216,7 +219,7 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 				continue
 			}
 			rep, err := ftsim.RunCampaign(context.Background(), "offset", trials[part.lo:part.hi],
-				ftsim.WithCampaignSeed(5), ftsim.WithTrialSeedOffset(part.lo))
+				ftsim.WithCampaignSeed(5), offset(part.lo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +246,7 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 	var hotStats []*ftsim.Stats
 	for _, off := range []int{0, 1} {
 		rep, err := ftsim.RunCampaign(context.Background(), "offset", hotTrial,
-			ftsim.WithCampaignSeed(5), ftsim.WithTrialSeedOffset(off))
+			ftsim.WithCampaignSeed(5), offset(off))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,6 +258,37 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 	}
 	if reflect.DeepEqual(hotStats[0], hotStats[1]) {
 		t.Error("seed offsets 0 and 1 produced identical fault statistics; offsets are not reaching seed derivation")
+	}
+}
+
+// TestRunCampaignSeedGroups: trials mapped to one seed index by
+// WithSeedIndex see the identical fault stream, and without the option
+// the same two trials draw different streams.
+func TestRunCampaignSeedGroups(t *testing.T) {
+	hot := ftsim.Model("ss2").Config()
+	hot.MaxInsts = 2_000
+	hot.MaxCycles = 1_000_000
+	hot.Fault.Rate = 1e-2
+	hot.Fault.Targets = ftsim.AllFaultTargets()
+	p := benchProgram(t, "gcc")
+	pair := []ftsim.Trial{{Label: "a", Config: hot, Program: p}, {Label: "b", Config: hot, Program: p}}
+	run := func(opts ...ftsim.CampaignOption) []*ftsim.Stats {
+		t.Helper()
+		rep, err := ftsim.RunCampaign(context.Background(), "groups", pair, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ftsim.CollectStats(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := run(ftsim.WithSeedIndex(func(int) int { return 0 })); !reflect.DeepEqual(st[0], st[1]) {
+		t.Error("trials in one seed group produced different statistics")
+	}
+	if st := run(); reflect.DeepEqual(st[0], st[1]) {
+		t.Error("trials without seed groups produced identical fault statistics")
 	}
 }
 

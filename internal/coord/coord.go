@@ -7,7 +7,7 @@
 // trials independent — trial i's fault seed is a pure function of the
 // campaign seed and i — so a shard carrying trials [lo, hi) of the
 // parent grid runs them under api.ShardRange{Offset: lo}, the worker
-// derives seeds from parent indices (ftsim.WithTrialSeedOffset), and
+// derives seeds from parent indices (ftsim.WithSeedIndex), and
 // the coordinator's merge is mere concatenation of the per-shard stats
 // arrays in shard order: byte-identical to one daemon running the
 // whole grid, for any shard count and any interleaving of failures and
@@ -84,7 +84,7 @@ type metrics struct {
 	outcomes       *obs.CounterVec // state: done|failed
 	shardSeconds   *obs.Histogram
 	workersHealthy *obs.Gauge
-	probes         *obs.CounterVec // outcome: ok|unhealthy
+	probes         *obs.CounterVec // outcome: ok|timeout|unhealthy
 }
 
 var shardSecondsBuckets = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600, 3600}
@@ -195,6 +195,8 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 }
 
 // probeAll probes the whole fleet once and refreshes the healthy gauge.
+// A refused or failed connection or a non-ok /healthz marks a worker
+// unhealthy; a probe that merely times out leaves its health unchanged.
 func (c *Coordinator) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
@@ -204,11 +206,17 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeInterval)
 			defer cancel()
 			h, err := w.client.Health(pctx)
-			ok := err == nil && h.Status == "ok"
-			c.setHealthy(w, ok)
-			if ok {
+			switch {
+			case err != nil && pctx.Err() != nil:
+				// Out of time: a worker busy simulating answers late, which
+				// is no evidence that it is dead, so its health stays as it
+				// was. A dead worker refuses the connection at once.
+				c.m.probes.With("timeout").Inc()
+			case err == nil && h.Status == "ok":
+				c.setHealthy(w, true)
 				c.m.probes.With("ok").Inc()
-			} else {
+			default:
+				c.setHealthy(w, false)
 				c.m.probes.With("unhealthy").Inc()
 			}
 		}(w)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -448,5 +450,49 @@ func TestPickWorkerSkipsFailedWorker(t *testing.T) {
 	solo := &Coordinator{workers: []*worker{dead}}
 	if got := solo.pickWorker(dead); got != dead {
 		t.Errorf("single-worker fleet picked %s, want %s", got.url, dead.url)
+	}
+}
+
+// TestProbeBusyIsNotDead: one probe round over a fleet of two workers
+// both last seen healthy. The busy worker's /healthz blocks past the
+// probe deadline; the dead worker's port refuses connections. Only the
+// dead one may be marked down, and a shard must then land on the busy
+// worker, which is alive.
+func TestProbeBusyIsNotDead(t *testing.T) {
+	release := make(chan struct{})
+	busySrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer busySrv.Close()
+	defer close(release) // unblock the handler before Close waits on it
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+
+	busy := &worker{url: busySrv.URL, client: &client.Client{BaseURL: busySrv.URL}, healthy: true}
+	dead := &worker{url: deadURL, client: &client.Client{BaseURL: deadURL}, healthy: true}
+	c := &Coordinator{
+		cfg:     Config{ProbeInterval: 250 * time.Millisecond},
+		log:     slog.New(slog.DiscardHandler),
+		m:       newMetrics(obs.NewRegistry()),
+		workers: []*worker{dead, busy},
+	}
+	c.probeAll(context.Background())
+
+	if !busy.healthy {
+		t.Error("busy worker marked unhealthy by a probe timeout")
+	}
+	if dead.healthy {
+		t.Error("worker refusing connections still marked healthy")
+	}
+	if got := c.pickWorker(nil); got != busy {
+		t.Errorf("picked %s, want the live worker %s", got.url, busy.url)
+	}
+	if n := c.m.probes.With("timeout").Value(); n != 1 {
+		t.Errorf("timeout probes = %v, want 1", n)
 	}
 }

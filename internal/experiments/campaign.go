@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 
 	"repro/ftsim"
-	"repro/internal/campaign"
 )
 
 // simPoint is one (benchmark, machine configuration) cell of an
@@ -20,64 +16,45 @@ type simPoint struct {
 	cfg   ftsim.Config
 }
 
-// valueCodec serialises trial values for a checkpoint journal. Each
-// campaign passes the codec matching its value type.
-type valueCodec struct {
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
-}
-
-// jsonCodec builds a valueCodec for trial values of type T. The
-// experiment value types (ftsim.Stats counters, funcsim.Mix fractions)
-// are uint64s and float64s, which encoding/json round-trips exactly,
-// so resumed aggregates stay bit-identical to an uninterrupted run's.
-func jsonCodec[T any]() valueCodec {
-	return valueCodec{
-		encode: func(v any) ([]byte, error) {
-			t, ok := v.(T)
-			if !ok {
-				var want T
-				return nil, fmt.Errorf("experiments: checkpoint: trial value is %T, want %T", v, want)
+// runGrid executes the points through ftsim.RunCampaign and returns
+// their statistics in grid order. opt.FaultSeed acts as the campaign
+// seed: every point with fault injection enabled has its injector
+// reseeded with the derived per-trial seed, so results depend only on
+// (grid, seed) — never on worker count or completion order.
+//
+// group is the seed-index mapping (nil = every point is its own group):
+// points sharing a seed index see the identical fault stream, so
+// controlled comparisons (R=2 vs R=3 at one fault rate, a penalty sweep
+// at one rate) measure the design's difference, not the RNG's. The
+// finished report is handed to opt.Report when set.
+func runGrid(name string, points []simPoint, group func(int) int, opt Options) ([]*ftsim.Stats, error) {
+	progs := make(map[string]*ftsim.Program)
+	trials := make([]ftsim.Trial, len(points))
+	for i, pt := range points {
+		program, ok := progs[pt.bench]
+		if !ok {
+			var err error
+			if program, err = ftsim.Benchmark(pt.bench); err != nil {
+				return nil, err
 			}
-			return json.Marshal(t)
-		},
-		decode: func(data []byte) (any, error) {
-			var t T
-			if err := json.Unmarshal(data, &t); err != nil {
-				return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-			}
-			return t, nil
-		},
+			progs[pt.bench] = program
+		}
+		cfg := pt.cfg
+		cfg.MaxInsts = opt.MaxInsts
+		cfg.MaxCycles = opt.MaxInsts * 100 // generous safety net
+		trials[i] = ftsim.Trial{Label: pt.label, Config: cfg, Program: program}
 	}
-}
-
-// campaignHash fingerprints what the trial closures hide from the
-// campaign engine: the grid's shape (labels encode benchmark, model
-// and sweep parameters) and the per-run instruction budget. Resuming
-// under a changed grid or budget fails with ErrCheckpointMismatch
-// instead of mixing incompatible results.
-func campaignHash(name string, trials []campaign.Trial, opt Options) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%d\x00", name, opt.MaxInsts)
-	for _, t := range trials {
-		fmt.Fprintf(h, "%s\x00", t.Label)
+	opts := []ftsim.CampaignOption{
+		ftsim.WithWorkers(opt.Parallel),
+		ftsim.WithCampaignSeed(opt.FaultSeed),
+		ftsim.WithCampaignProgress(opt.Progress),
+		ftsim.WithMetricsSink(opt.Metrics),
+		ftsim.WithTrialTimeout(opt.TrialTimeout),
+		ftsim.WithRetry(opt.Retries, 0),
+		ftsim.WithSeedIndex(group),
 	}
-	return h.Sum64()
-}
-
-// runCampaign runs a trial grid through the campaign engine with the
-// runner configured from opt (worker count, progress sink, campaign
-// seed, containment policy, checkpointing). group is the spec's
-// seed-index mapping (nil = identity). The finished report is handed
-// to opt.Report when set.
-func runCampaign(name string, trials []campaign.Trial, group func(int) int, codec valueCodec, opt Options) (*campaign.Report, error) {
-	runner := campaign.Runner{
-		Workers:      opt.Parallel,
-		Progress:     opt.Progress,
-		Contain:      opt.Contain,
-		TrialTimeout: opt.TrialTimeout,
-		Retries:      opt.Retries,
-		Metrics:      opt.Metrics,
+	if !opt.Contain {
+		opts = append(opts, ftsim.WithFailFast())
 	}
 	if opt.CheckpointDir != "" {
 		path := filepath.Join(opt.CheckpointDir, name+".ckpt")
@@ -93,100 +70,14 @@ func runCampaign(name string, trials []campaign.Trial, group func(int) int, code
 		if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
 		}
-		runner.Checkpoint = &campaign.Checkpoint{
-			Path:   path,
-			Hash:   campaignHash(name, trials, opt),
-			Encode: codec.encode,
-			Decode: codec.decode,
-		}
+		opts = append(opts, ftsim.WithCheckpoint(path))
 	}
-	spec := campaign.Spec{Name: name, Seed: opt.FaultSeed, SeedIndex: group, Trials: trials}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rep, err := runner.Run(ctx, spec)
+	rep, err := ftsim.RunCampaign(opt.Context, name, trials, opts...)
 	if rep != nil && opt.Report != nil {
 		opt.Report(rep)
 	}
-	return rep, err
-}
-
-// runGrid executes the points through the campaign engine and returns
-// their statistics in grid order. opt.FaultSeed acts as the campaign
-// seed: every point with fault injection enabled has its injector
-// reseeded with the engine's derived per-trial seed, so results depend
-// only on (grid, seed) — never on worker count or completion order.
-func runGrid(name string, points []simPoint, opt Options) ([]*ftsim.Stats, error) {
-	return runGridGrouped(name, points, nil, opt)
-}
-
-// runGridGrouped is runGrid with seed pairing (campaign.Spec.SeedIndex):
-// points sharing a seed index see the identical fault stream, so
-// controlled comparisons (R=2 vs R=3 at one fault rate, a penalty sweep
-// at one rate) measure the design's difference, not the RNG's. nil
-// means every point is its own group.
-//
-// Trials run on pooled machines: each worker keeps a machine pool (and
-// the grid's programs are built once, up front, instead of once per
-// trial), so per-trial cost is dominated by simulation, not
-// construction. Pooling is results-invisible — a recycled machine is
-// reset to a state bit-identical to a fresh build.
-func runGridGrouped(name string, points []simPoint, group func(int) int, opt Options) ([]*ftsim.Stats, error) {
-	progs := make(map[string]*ftsim.Program, len(points))
-	for i := range points {
-		b := points[i].bench
-		if _, ok := progs[b]; ok {
-			continue
-		}
-		program, err := ftsim.Benchmark(b)
-		if err != nil {
-			return nil, err
-		}
-		progs[b] = program
-	}
-	trials := make([]campaign.Trial, len(points))
-	for i := range points {
-		pt := points[i]
-		trials[i] = campaign.Trial{
-			Label: pt.label,
-			RunW: func(ctx context.Context, ws *campaign.Workspace, seed int64) (any, error) {
-				cfg := pt.cfg
-				if cfg.Fault.Enabled() {
-					cfg.Fault.Seed = seed
-				}
-				return runBenchPooled(ctx, ws, progs[pt.bench], cfg, opt)
-			},
-		}
-	}
-	rep, err := runCampaign(name, trials, group, jsonCodec[*ftsim.Stats](), opt)
 	if err != nil {
 		return nil, err
 	}
-	return campaign.Collect[*ftsim.Stats](rep)
-}
-
-// poolKey indexes the per-worker machine pool in a campaign Workspace.
-type poolKey struct{}
-
-// wsPool returns the worker's machine pool, creating it on first use.
-func wsPool(ws *campaign.Workspace) *ftsim.MachinePool {
-	if v := ws.Value(poolKey{}); v != nil {
-		return v.(*ftsim.MachinePool)
-	}
-	p := new(ftsim.MachinePool)
-	ws.Set(poolKey{}, p)
-	return p
-}
-
-// runBenchPooled is runBench for a pre-built program on a pooled
-// machine.
-func runBenchPooled(ctx context.Context, ws *campaign.Workspace, program *ftsim.Program, cfg ftsim.Config, opt Options) (*ftsim.Stats, error) {
-	cfg.MaxInsts = opt.MaxInsts
-	cfg.MaxCycles = opt.MaxInsts * 100 // generous safety net
-	m, err := ftsim.NewFromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunPooled(ctx, wsPool(ws), program)
+	return ftsim.CollectStats(rep)
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/campaign"
+	"repro/ftsim"
 )
 
 // TestCampaignDeterminism is the parallelism regression gate: the same
@@ -77,27 +79,83 @@ func TestCampaignSeedMatters(t *testing.T) {
 // name.
 func TestCampaignProgress(t *testing.T) {
 	var labels []string
-	var rep *campaign.Report
+	var rep *ftsim.CampaignReport
 	opt := Options{MaxInsts: 2_000, Parallel: 1}
-	opt.Progress = func(done, total int, r campaign.Result) {
-		if total != 11 {
-			t.Errorf("total = %d, want 11", total)
+	opt.Progress = func(done, total int, r ftsim.TrialResult) {
+		if total != 33 {
+			t.Errorf("total = %d, want 33", total)
 		}
 		labels = append(labels, r.Label)
 	}
-	opt.Report = func(r *campaign.Report) { rep = r }
-	if _, err := Table2(opt); err != nil {
+	opt.Report = func(r *ftsim.CampaignReport) { rep = r }
+	if _, err := Fig5(opt); err != nil {
 		t.Fatal(err)
 	}
-	if rep == nil || rep.TrialSeconds.N() != 11 || rep.Workers != 1 || rep.Spec != "table2" {
+	if rep == nil || rep.TrialSeconds.N() != 33 || rep.Workers != 1 || rep.Spec != "fig5" {
 		t.Fatalf("report hook: %+v", rep)
 	}
-	if len(labels) != 11 {
+	if len(labels) != 33 {
 		t.Fatalf("got %d progress callbacks", len(labels))
 	}
 	for _, l := range labels {
-		if !strings.HasPrefix(l, "table2/") {
+		if !strings.HasPrefix(l, "fig5/") {
 			t.Errorf("label %q missing experiment prefix", l)
 		}
+	}
+}
+
+// TestCheckpointResume drives the ftexp -checkpoint/-resume path: a
+// Fig6 campaign cancelled after five trials leaves a journal that is
+// refused without Resume, resumes to rows identical to an uninterrupted
+// run's, and is refused once the instruction budget changes.
+func TestCheckpointResume(t *testing.T) {
+	base := Options{MaxInsts: 3_000, FaultSeed: 3, Parallel: 1, CheckpointDir: t.TempDir()}
+	control := base
+	control.CheckpointDir = ""
+	want, err := Fig6("fpppp", control)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killed := base
+	killed.Context = ctx
+	killed.Progress = func(done, _ int, _ ftsim.TrialResult) {
+		if done == 5 {
+			cancel()
+		}
+	}
+	if _, err := Fig6("fpppp", killed); err == nil {
+		t.Fatal("cancelled campaign reported success")
+	}
+
+	if _, err := Fig6("fpppp", base); err == nil || !strings.Contains(err.Error(), "already holds a journal") {
+		t.Fatalf("rerun without Resume: err = %v, want an existing-journal refusal", err)
+	}
+
+	resume := base
+	resume.Resume = true
+	var rep *ftsim.CampaignReport
+	resume.Report = func(r *ftsim.CampaignReport) { rep = r }
+	got, err := Fig6("fpppp", resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed rows differ from the uninterrupted run:\n%+v\n%+v", got, want)
+	}
+	if rep == nil {
+		t.Fatal("Report hook not called")
+	}
+	if rep.Resumed <= 0 || rep.Resumed >= len(rep.Results) {
+		t.Fatalf("resumed %d of %d trials, want 0 < resumed < total", rep.Resumed, len(rep.Results))
+	}
+
+	changed := resume
+	changed.Report = nil
+	changed.MaxInsts = 4_000
+	if _, err := Fig6("fpppp", changed); !errors.Is(err, ftsim.ErrCheckpointMismatch) {
+		t.Fatalf("resume under a changed budget: err = %v, want ErrCheckpointMismatch", err)
 	}
 }

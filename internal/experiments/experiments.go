@@ -5,9 +5,9 @@
 // the same rows a reader would compare against the paper.
 //
 // All simulation-backed drivers are thin grids over the public ftsim
-// facade: every trial builds an ftsim machine from a serializable
-// ftsim.Config and runs it under the campaign context, so experiments
-// exercise exactly the API embedders use.
+// facade: each enumerates ftsim.Trials (a serializable ftsim.Config
+// plus a benchmark program) and runs them through ftsim.RunCampaign,
+// so experiments exercise exactly the API embedders use.
 package experiments
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/ftsim"
-	"repro/internal/campaign"
 	"repro/internal/funcsim"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -42,15 +41,15 @@ type Options struct {
 	// through the worker pool into every pipeline loop).
 	Context context.Context
 	// Progress, when non-nil, observes every campaign trial completion.
-	Progress campaign.Progress
+	Progress ftsim.CampaignProgress
 	// Report, when non-nil, receives each finished campaign's report
 	// (worker count, wall time, streaming trial-time aggregates).
-	Report func(*campaign.Report)
+	Report func(*ftsim.CampaignReport)
 	// Metrics, when non-nil, receives campaign instrumentation (trial
 	// durations and outcomes, retries, checkpoint fsyncs) for every
 	// experiment run under these options. A pure tap: results are
 	// identical with and without it.
-	Metrics *campaign.Metrics
+	Metrics *ftsim.CampaignMetrics
 
 	// CheckpointDir, when non-empty, journals each campaign's completed
 	// trials to <dir>/<campaign>.ckpt so a killed run can resume. A
@@ -62,7 +61,7 @@ type Options struct {
 	// trials are restored from disk and only the remainder simulates.
 	Resume bool
 	// TrialTimeout, when positive, bounds each trial with a per-trial
-	// deadline (campaign.Runner.TrialTimeout).
+	// deadline (ftsim.WithTrialTimeout).
 	TrialTimeout time.Duration
 	// Retries re-attempts retryable trial failures this many times.
 	Retries int
@@ -79,28 +78,15 @@ func (o Options) defaults() Options {
 	if o.FaultSeed == 0 {
 		o.FaultSeed = 1
 	}
+	if o.Context == nil {
+		o.Context = context.Background()
+	}
 	return o
 }
 
 // workloadIters is the loop bound baked into generated benchmarks; runs
 // are always cut off by MaxInsts first.
 const workloadIters = int64(1) << 32
-
-// runBench simulates one benchmark on one machine configuration through
-// the public facade, honouring the campaign context.
-func runBench(ctx context.Context, bench string, cfg ftsim.Config, opt Options) (*ftsim.Stats, error) {
-	program, err := ftsim.Benchmark(bench)
-	if err != nil {
-		return nil, err
-	}
-	cfg.MaxInsts = opt.MaxInsts
-	cfg.MaxCycles = opt.MaxInsts * 100 // generous safety net
-	m, err := ftsim.NewFromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(ctx, program)
-}
 
 // ---------------------------------------------------------------------
 // Table 1: machine parameters (configuration echo).
@@ -136,58 +122,37 @@ type MixRow struct {
 }
 
 // Table2 measures each synthetic benchmark's dynamic mix on the
-// functional simulator, one campaign trial per benchmark.
+// functional simulator. It is a plain loop, not a campaign: its eleven
+// functional runs take a fraction of a second, so nothing is journaled,
+// retried or reported per trial.
 func Table2(opt Options) ([]MixRow, error) {
 	opt = opt.defaults()
 	profiles := workload.Table2()
-	trials := make([]campaign.Trial, len(profiles))
-	for i := range profiles {
-		p := profiles[i]
-		trials[i] = campaign.Trial{
-			Label: "table2/" + p.Name,
-			Run: func(ctx context.Context, _ int64) (any, error) {
-				program, err := p.Build(workloadIters)
-				if err != nil {
-					return nil, err
-				}
-				// The functional simulator has no context plumbing of its
-				// own; stepping it in bounded chunks keeps the trial
-				// responsive to campaign cancellation without changing
-				// the measured mix (the stepper is deterministic, so N
-				// chunked runs equal one straight run).
-				const chunk = 65_536
-				m := funcsim.New(program)
-				for {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					lim := m.Insts + chunk
-					if lim > opt.MaxInsts {
-						lim = opt.MaxInsts
-					}
-					err := m.Run(lim)
-					if err == nil || m.Insts >= opt.MaxInsts {
-						break // halted or budget exhausted
-					}
-					if err != funcsim.ErrLimit {
-						return nil, fmt.Errorf("table2 %s: %w", p.Name, err)
-					}
-				}
-				return m.Mix(), nil
-			},
-		}
-	}
-	rep, err := runCampaign("table2", trials, nil, jsonCodec[funcsim.Mix](), opt)
-	if err != nil {
-		return nil, err
-	}
-	mixes, err := campaign.Collect[funcsim.Mix](rep)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]MixRow, len(profiles))
 	for i, p := range profiles {
-		rows[i] = MixRow{Bench: p.Name, Measured: mixes[i], Profile: p}
+		program, err := p.Build(workloadIters)
+		if err != nil {
+			return nil, err
+		}
+		// The functional simulator has no context plumbing of its own;
+		// stepping it in bounded chunks keeps the loop responsive to
+		// cancellation without changing the measured mix (the stepper is
+		// deterministic, so N chunked runs equal one straight run).
+		const chunk = 65_536
+		m := funcsim.New(program)
+		for {
+			if err := opt.Context.Err(); err != nil {
+				return nil, err
+			}
+			err := m.Run(min(m.Insts+chunk, opt.MaxInsts))
+			if err == nil || m.Insts >= opt.MaxInsts {
+				break // halted or budget exhausted
+			}
+			if err != funcsim.ErrLimit {
+				return nil, fmt.Errorf("table2 %s: %w", p.Name, err)
+			}
+		}
+		rows[i] = MixRow{Bench: p.Name, Measured: m.Mix(), Profile: p}
 	}
 	return rows, nil
 }
@@ -280,7 +245,7 @@ func Fig5(opt Options) ([]Fig5Row, error) {
 			simPoint{"fig5/" + p.Name + "/Static-2", p.Name, ftsim.ModelStatic2.Config()},
 			simPoint{"fig5/" + p.Name + "/SS-2", p.Name, ftsim.ModelSS2.Config()})
 	}
-	sts, err := runGrid("fig5", points, opt)
+	sts, err := runGrid("fig5", points, nil, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +307,7 @@ func Fig6(bench string, opt Options) ([]Fig6Row, error) {
 	ratesPerM := []float64{0, 1, 10, 100, 1000, 5000, 10_000, 20_000, 50_000, 100_000}
 	points := make([]simPoint, 0, 2*len(ratesPerM))
 	for _, rm := range ratesPerM {
-		// Seed is set per trial by the campaign grid (runGridGrouped).
+		// Seed is set per trial by the campaign grid (runGrid).
 		fc := ftsim.FaultConfig{Rate: rm / 1e6, Targets: ftsim.AllFaultTargets()}
 		ss2 := ftsim.ModelSS2.Config()
 		ss2.Fault = fc
@@ -354,7 +319,7 @@ func Fig6(bench string, opt Options) ([]Fig6Row, error) {
 	}
 	// The R=2 and R=3 arms at one fault rate share a seed group, so each
 	// row compares the two designs under the identical fault stream.
-	sts, err := runGridGrouped("fig6", points, func(i int) int { return i / 2 }, opt)
+	sts, err := runGrid("fig6", points, func(i int) int { return i / 2 }, opt)
 	if err != nil {
 		return nil, err
 	}
